@@ -296,7 +296,7 @@ def _verify_lemma4(max_rank: int, emit) -> VerificationResult:
     return VerificationResult("lemma4", max_rank, instances, bad)
 
 
-def _check_lemma5(sig: tuple[int, ...], _rank_bound: int) -> dict | None:
+def _check_lemma5(sig: tuple[int, ...]) -> dict | None:
     if sig[-1] != 2:
         return None
     cm = ChangemakerVector(sig)
@@ -401,7 +401,7 @@ def _verify_lemma5(max_rank: int, emit) -> VerificationResult:
         # a nondecreasing vector ends in 2 iff every entry is 1 or 2, so the
         # capped enumeration already contains every relevant sigma
         for sig in iter_changemakers(rank, max_entry=2):
-            info = _check_lemma5(sig, max_rank)
+            info = _check_lemma5(sig)
             if info is None:
                 continue
             instances += 1

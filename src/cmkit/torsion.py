@@ -11,7 +11,9 @@ sum(c_j^2) = (n+1) + 8k satisfies sum(c_j sigma_j) = p - 2i (mod 2p).
 Two implementations are provided: an ascending scan over odd-square
 multisets (the reference, min_level_by_scan) and a residue-indexed
 min-cost dynamic program whose coordinate bound is grown until it
-provably covers every optimal solution (the fast path).  Both are exact
+provably covers every optimal solution (the fast path).  The dynamic
+program is symmetric under r -> -r, so it runs only the positive shifts
+of each coordinate and closes it with one mirror step.  Both are exact
 and the test suite plays them against each other.
 """
 
@@ -171,7 +173,20 @@ def exponents_from_torsion(ts) -> AlexanderExponents:
         above[i] = above[i + 1] + ((above[i + 1] ^ steps[i]) & 1)
     exps = tuple(i + 1 for i in range(g - 1, -1, -1) if above[i] > above[i + 1])
     result = AlexanderExponents(exps)
-    if tuple(torsion_from_alexander(result, i) for i in range(g + 1)) != vals:
+    # Round trip in one pass: t_i - t_{i+1} = sum_{d>i} a_d, so the
+    # staircase is rebuilt from t_g = 0 with a running suffix sum.  For a
+    # valid TorsionSequence this holds by algebra: above[i] counts the
+    # exponents exceeding i, the recursion makes its parity equal to
+    # steps[i], and sum_{d>i} a_d is 1 or 0 with that parity.  The check
+    # stays as a cheap guard against edits to the inversion; the
+    # independent evidence is the tests against torsion_from_alexander.
+    coeff = coefficients(result)
+    rebuilt = [0] * (g + 1)
+    tail = 0
+    for i in range(g - 1, -1, -1):
+        tail += coeff.get(i + 1, 0)
+        rebuilt[i] = rebuilt[i + 1] + tail
+    if tuple(rebuilt) != vals:
         raise AssertionError("staircase inversion failed to round-trip")
     return result
 
@@ -324,18 +339,32 @@ def torsion_at_most(sigma, i: int, level: int) -> bool:
 
 def _min_costs(sig: tuple[int, ...], modulus: int, bound: int) -> np.ndarray:
     """dp[r] = min sum of squares over odd vectors with |entries| <= bound
-    and sum(c_j sigma_j) = r (mod modulus)."""
+    and sum(c_j sigma_j) = r (mod modulus).
+
+    Symmetry halves the shifts: dp starts symmetric under r -> -r (only
+    dp[0] = 0 is finite), and each coordinate offers the shifts +a*s and
+    -a*s at the same cost a^2, so by induction every dp is symmetric.
+    The -a*s candidate at r is then dp[r + a*s] = dp[-r - a*s], the +a*s
+    candidate at -r; so the coordinate's result is the minimum of the
+    +a*s candidates and their mirror image.  The values, unreachable
+    entries (>= _INF) included, are exactly those of the two-sided DP.
+    """
     dp = np.full(modulus, _INF, dtype=np.int64)
     dp[0] = 0
+    best = np.empty_like(dp)
+    buf = np.empty_like(dp)
     for s in sig:
-        best = np.full(modulus, _INF, dtype=np.int64)
+        best.fill(_INF)
         for a in range(1, bound + 1, 2):
             cost = a * a
-            for signed in (a * s, -a * s):
-                cand = np.roll(dp, signed % modulus)
-                cand += cost
-                np.minimum(best, cand, out=best)
-        dp = best
+            k = a * s % modulus
+            # buf = dp rotated right by k, plus cost
+            np.add(dp[: modulus - k], cost, out=buf[k:])
+            np.add(dp[modulus - k :], cost, out=buf[:k])
+            np.minimum(best, buf, out=best)
+        buf[1:] = best[:0:-1]  # buf[r] = best[-r mod modulus] for r >= 1
+        np.minimum(best[1:], buf[1:], out=best[1:])
+        dp, best = best, dp
     return dp
 
 

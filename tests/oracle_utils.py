@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: exact polynomial
 arithmetic for torus-knot Alexander coefficients, itertools-based signed
-sums, and a naive recursive determinant.
+sums, a naive recursive determinant and a brute-force odd-vector cost
+table.
 """
 
 from itertools import product
@@ -90,3 +91,16 @@ def nondecreasing_sequences(max_sum, max_len):
 
     extend([], 0)
     return out
+
+
+def min_odd_costs(sig, modulus, bound):
+    """Least sum(c_j^2) per residue of sum(c_j sigma_j) mod modulus, over
+    every odd vector c with |c_j| <= bound; unreached residues are absent."""
+    odd = [v for v in range(-bound, bound + 1) if v % 2]
+    best = {}
+    for c in product(odd, repeat=len(sig)):
+        r = sum(x * s for x, s in zip(c, sig)) % modulus
+        cost = sum(x * x for x in c)
+        if r not in best or cost < best[r]:
+            best[r] = cost
+    return best

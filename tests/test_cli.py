@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -145,6 +146,25 @@ def test_census_out_file(tmp_path, capsys):
     assert out == ""
     lines = [json.loads(line) for line in target.read_text().splitlines()]
     assert lines[-1]["records"] == 8
+
+
+# SHA-256 of the rank-5 census file in each format, recorded from the
+# reference DP and the per-index round trip before either was optimised.
+CENSUS_RANK5_SHA256 = {
+    "json": "510bd1cf50e842ae2ea95ce9a8bc1974ccb2cfae4f6f1fc0e253901be76703b6",
+    "csv": "1df1e9f19eab1db1c6c3914024c9046e0a493a9527df839610a936dba378f673",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CENSUS_RANK5_SHA256))
+def test_census_rank_five_bytes_pinned(tmp_path, capsys, fmt):
+    target = tmp_path / f"census.{fmt}"
+    code, out, _ = run_cli(
+        capsys, "census", "--max-rank", "5", "--format", fmt, "--out", str(target)
+    )
+    assert code == 0
+    assert out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == CENSUS_RANK5_SHA256[fmt]
 
 
 def test_verify_cli_small(capsys):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmkit import (
     AlexanderExponents,
@@ -21,8 +23,9 @@ from cmkit import (
     torsion_staircase,
     torus_knot_exponents,
 )
+from cmkit.torsion import _INF, _min_costs
 
-from oracle_utils import torus_alexander_coefficients
+from oracle_utils import min_odd_costs, torus_alexander_coefficients
 
 
 def test_coefficients_examples():
@@ -112,6 +115,19 @@ def test_exponents_from_torsion_inverts_all_small_sequences():
                 assert exponents_from_torsion(stair).exponents == ae.exponents
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=200).flatmap(
+        lambda g: st.tuples(st.just(g), st.lists(st.booleans(), min_size=g - 1, max_size=g - 1))
+    )
+)
+def test_exponents_from_torsion_inverts_reference_staircases(case):
+    g, keep = case
+    ae = AlexanderExponents((g, *(n for n in range(g - 1, 0, -1) if keep[n - 1])))
+    stair = [torsion_from_alexander(ae, i) for i in range(g + 1)]
+    assert exponents_from_torsion(stair).exponents == ae.exponents
+
+
 def test_genus_from_changemaker():
     assert genus_from_changemaker((1, 2, 2)) == 2
     assert genus_from_changemaker((1, 1, 1, 1)) == 0
@@ -147,13 +163,31 @@ def test_characteristic_residues_level_zero():
     assert got == frozenset({1, 3, 5, 13, 15, 17})
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=5),
+)
+def test_min_costs_against_brute_force(sig, modulus, bound):
+    dp = _min_costs(tuple(sig), modulus, bound)
+    expected = min_odd_costs(sig, modulus, bound)
+    for r in range(modulus):
+        if r in expected:
+            assert dp[r] == expected[r], r
+        else:
+            assert dp[r] >= _INF, r
+        assert dp[r] == dp[-r % modulus], r
+
+
 def test_scan_agrees_with_dp_on_small_changemakers():
-    for rank in (1, 2, 3):
-        for sig in iter_changemakers(rank):
-            g = genus_from_changemaker(sig)
-            stair = torsion_staircase(sig)
-            for i in range(g + 1):
-                assert stair[i] == min_level_by_scan(sig, i)
+    small = [sig for rank in (1, 2, 3) for sig in iter_changemakers(rank)]
+    rank4 = random.Random(4).sample(list(iter_changemakers(4)), 48)
+    for sig in small + rank4:
+        g = genus_from_changemaker(sig)
+        stair = torsion_staircase(sig)
+        for i in range(g + 1):
+            assert stair[i] == min_level_by_scan(sig, i)
 
 
 def test_torsion_at_most_matches_exact_values():
