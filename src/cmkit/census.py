@@ -9,6 +9,7 @@ from typing import Callable, Iterator
 
 from .changemaker import (
     ChangemakerVector,
+    count_completions,
     iter_changemakers,
     iter_changemakers_with_sums,
 )
@@ -242,57 +243,94 @@ def _lemma4_instance(sig: tuple[int, ...]) -> dict:
     }
 
 
-#: Through this rank the sweeps run the full object-level checks with the
-#: independent ascending torsion scan; above it (the census runs into the
-#: hundreds of millions) they validate the witness certificate, which is
-#: a complete and exact criterion, in lean integer arithmetic.
+#: Through this rank the sweeps run the full object-level checks, vector
+#: by vector, with the independent ascending torsion scan.  Above it
+#: lemma4 (quiet) and theorem1 walk prefixes instead (see _sweep_vectors):
+#: one witness check per prefix settles the whole block of its completions.
 DEEP_CHECK_MAX_RANK = 6
 
 
 def _lemma4_ok(sig: tuple[int, ...], total: int, sumsq: int) -> bool:
-    """Lean witness-certificate check.
+    """Lean witness check: does greedy change pay sigma_t - 3 from the
+    entries below t, the first index with sigma_t >= 3?
 
-    Greedy change below the first entry >= 3 must pay exactly sigma_t - 3;
-    the resulting level-1 vector pairs against sigma at exactly 2g - 6,
-    which certifies that the minimum characteristic level at index g - 3
-    is at most 1.  The identity is recomputed, not assumed.
+    The greedy step is the only content.  When it pays, the witness is +1
+    off the greedy set, -1 on it and 3 at t, so it has level 1; its pairing
+    with sigma is -(total + 6) and 2g = sumsq - total = sum of v(v - 1) is
+    even for every changemaker, so the identity p + pairing == 2g - 6 that
+    certifies t_{g-3} <= 1 holds by algebra and is not re-tested here.
+    _lemma4_instance recomputes the real pairing from the library witness
+    on the deep path.  total and sumsq are kept in the signature for
+    callers that pass the enumeration's running sums.
+
+    The loop reads sigma_0..sigma_t only, so a prefix ending at its first
+    entry >= 3 gets the same answer as every one of its completions.
     """
     t = 0
     while sig[t] < 3:
         t += 1
-    st = sig[t]
-    rem = st - 3
+    rem = sig[t] - 3
     k = t - 1
     while rem and k >= 0:
         v = sig[k]
         if v <= rem:
             rem -= v
         k -= 1
-    if rem:
-        return False
-    # pairing of (+1 off the greedy set, -1 on it, 3 at t) against sigma
-    pairing = -(total + 2 * st - 2 * (st - 3))
-    g2 = sumsq - total  # twice the genus
-    return g2 % 2 == 0 and sumsq + pairing == g2 - 6
+    return not rem
+
+
+def _sweep_vectors(
+    rank: int, settled: Callable[[tuple[int, ...], int, int], None] | None
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(sigma, sum, sum of squares) for every vector of one rank that a
+    sweep must look at, in lexicographic order.
+
+    With settled None, or at or below DEEP_CHECK_MAX_RANK, that is every
+    vector.  Above it the walk stops at each vector's first entry >= 3:
+    the prefix sigma_0..sigma_t stands for the block of all its
+    completions.  The prefix is itself a sigma_0 = 1 changemaker and
+    _lemma4_ok reads only sigma_0..sigma_t, so one call decides the whole
+    block.  A block that passes is reported as settled(prefix, total,
+    left), left being the number of entries after t, and is not walked.
+    A block that fails is walked vector by vector in place, and vectors
+    whose entries are all <= 2 are yielded as they come, so the sweep sees
+    its per-vector cases in the same order as a full walk.
+    """
+    if settled is None or rank <= DEEP_CHECK_MAX_RANK:
+        yield from iter_changemakers_with_sums(rank)
+        return
+    for prefix, total, sumsq in iter_changemakers_with_sums(rank, stop_at=3):
+        if prefix[-1] < 3:
+            yield prefix, total, sumsq
+        elif _lemma4_ok(prefix, total, sumsq):
+            settled(prefix, total, rank + 1 - len(prefix))
+        else:
+            yield from iter_changemakers_with_sums(rank, prefix=prefix)
 
 
 def _verify_lemma4(max_rank: int, emit) -> VerificationResult:
     instances = 0
     bad: list[dict] = []
+    memo: dict = {}
+
+    def settled(prefix, total, left):
+        # every completion has an entry >= 3 and passes the witness check
+        nonlocal instances
+        instances += count_completions(left, prefix[-1], total, memo)
+
     for rank in range(1, max_rank + 1):
         deep = rank <= DEEP_CHECK_MAX_RANK or emit is not None
-        for sig, total, sumsq in iter_changemakers_with_sums(rank):
+        for sig, total, sumsq in _sweep_vectors(rank, None if deep else settled):
             if sig[-1] < 3:
                 continue
             instances += 1
-            if deep:
-                info = _lemma4_instance(sig)
-                if emit is not None:
-                    emit(info)
-                if not info["ok"]:
-                    bad.append(info)
-            elif not _lemma4_ok(sig, total, sumsq):
-                bad.append(_lemma4_instance(sig))
+            info = _lemma4_instance(sig)
+            if emit is not None:
+                emit(info)
+            # above the deep rank only the completions of a prefix that
+            # failed the witness check get here, and each of them fails it
+            if not deep or not info["ok"]:
+                bad.append(info)
     return VerificationResult("lemma4", max_rank, instances, bad)
 
 
@@ -329,15 +367,12 @@ def _verify_theorem1(max_rank: int, emit) -> VerificationResult:
     instances = 0
     bad: list[dict] = []
     for rank in range(1, max_rank + 1):
-        shortcut = rank > DEEP_CHECK_MAX_RANK
-        for sig, total, sumsq in iter_changemakers_with_sums(rank):
-            g = (sumsq - total) // 2
-            if g < 3:
-                continue
-            # A validated witness certifies t_{g-3} <= 1, killing the
-            # hypothesis t_{g-3} >= 2 without any scan; anything that
-            # survives gets the honest staircase filter below.
-            if shortcut and sig[-1] >= 3 and _lemma4_ok(sig, total, sumsq):
+        # Above the deep rank a settled block is skipped whole: a validated
+        # witness certifies t_{g-3} <= 1, killing the hypothesis t_{g-3} >= 2
+        # without any scan.  Everything else gets the honest staircase
+        # filter below.
+        for sig, total, sumsq in _sweep_vectors(rank, lambda *block: None):
+            if (sumsq - total) // 2 < 3:
                 continue
             info = _check_theorem1(sig)
             if info is None:

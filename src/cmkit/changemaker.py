@@ -185,27 +185,66 @@ def enumerate_changemakers(
 
 
 def iter_changemakers_with_sums(
-    rank: int, cap: int = ENUMERATION_MAX_RANK
+    rank: int,
+    cap: int = ENUMERATION_MAX_RANK,
+    *,
+    prefix: tuple[int, ...] = (1,),
+    stop_at: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(sigma, sum, sum of squares) triples, same order as iter_changemakers.
 
     The running sums come for free from the enumeration tree; the large
     verification sweeps lean on this to avoid re-summing millions of
     vectors.
+
+    prefix restricts the walk to the completions of a sigma_0 = 1
+    changemaker of length at most rank + 1.  With stop_at, a vector is cut
+    short at its first entry >= stop_at after the prefix: the walk yields
+    that shorter prefix, with its sums, in place of the block of all its
+    completions, which it does not visit.  Order stays lexicographic.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if rank > cap:
         raise CapacityError(f"enumeration capped at rank {cap}, got {rank}")
-    sig = [1] * (rank + 1)
+    prefix = tuple(prefix)
+    if len(prefix) > rank + 1 or prefix[:1] != (1,) or not is_changemaker(prefix):
+        raise ValueError(f"not a sigma_0 = 1 changemaker prefix of rank {rank}: {prefix}")
     last = rank + 1
+    sig = list(prefix) + [1] * (last - len(prefix))
 
     def extend(i: int, total: int, sumsq: int):
         if i == last:
             yield tuple(sig), total, sumsq
             return
-        for v in range(sig[i - 1], total + 2):
+        lo, hi = sig[i - 1], total + 1
+        top = hi if stop_at is None else min(hi, stop_at - 1)
+        for v in range(lo, top + 1):
             sig[i] = v
             yield from extend(i + 1, total + v, sumsq + v * v)
+        for v in range(max(lo, top + 1), hi + 1):
+            yield (*sig[:i], v), total + v, sumsq + v * v
 
-    yield from extend(1, 1, 1)
+    yield from extend(len(prefix), sum(prefix), sum(v * v for v in prefix))
+
+
+def count_completions(left: int, last: int, total: int, memo: dict) -> int:
+    """The number of ways to append left entries to a changemaker whose
+    last entry is last and whose entries sum to total, i.e. the size of the
+    block that iter_changemakers_with_sums(..., stop_at=...) stands a
+    prefix in for.
+
+    Each appended entry v runs over last..total + 1, exactly the range the
+    enumeration walks, so the count is the number of leaves it would visit.
+    memo keeps the sub-counts; give each sweep a fresh dict, so that it
+    starts cold and the memo is freed when the sweep ends.
+    """
+    if not left:
+        return 1
+    key = (left, last, total)
+    n = memo.get(key)
+    if n is None:
+        n = memo[key] = sum(
+            count_completions(left - 1, v, total + v, memo) for v in range(last, total + 2)
+        )
+    return n

@@ -1,5 +1,6 @@
 import pytest
 
+import cmkit.census as census
 from cmkit import (
     CapacityError,
     build_record,
@@ -183,3 +184,94 @@ def test_verify_emit_and_quiet_agree():
         loud = verify_claim(claim, 4, emit=seen.append)
         assert quiet.instances == loud.instances == len(seen)
         assert quiet.holds == loud.holds
+
+
+def _per_vector_sweeps(rank):
+    """Per-vector oracle for one rank of the quiet lemma4 sweep and the
+    theorem1 sweep above the deep rank: every vector of the full
+    enumeration, one witness check each.  Looks _lemma4_ok and
+    _check_theorem1 up at call time so that monkeypatches apply."""
+    lemma4_instances, lemma4_bad, theorem1_calls = 0, [], []
+    for sig, total, sumsq in iter_changemakers_with_sums(rank):
+        ok = sig[-1] >= 3 and census._lemma4_ok(sig, total, sumsq)
+        if sig[-1] >= 3:
+            lemma4_instances += 1
+            if not ok:
+                lemma4_bad.append(_lemma4_instance(sig))
+        if (sumsq - total) // 2 >= 3 and not ok:
+            theorem1_calls.append(sig)
+    return lemma4_instances, lemma4_bad, theorem1_calls
+
+
+def _theorem1_instances(sigmas):
+    return [info for info in map(census._check_theorem1, sigmas) if info is not None]
+
+
+def test_prefix_sweeps_match_per_vector_enumeration(monkeypatch):
+    monkeypatch.setattr(census, "DEEP_CHECK_MAX_RANK", 0)
+    instances, bad, theorem1 = 0, [], []
+    for rank in range(1, 8):
+        rank_instances, rank_bad, calls = _per_vector_sweeps(rank)
+        instances += rank_instances
+        bad += rank_bad
+        theorem1 += _theorem1_instances(calls)
+        lemma4 = verify_claim("lemma4", rank)
+        assert (lemma4.instances, lemma4.counterexamples) == (instances, bad)
+        seen = []
+        result = verify_claim("theorem1", rank, emit=seen.append)
+        assert seen == theorem1
+        assert result.instances == len(theorem1)
+        assert result.counterexamples == [info for info in theorem1 if not info["ok"]]
+    assert instances == 1_785_372 and len(theorem1) == 15
+
+
+def test_prefix_theorem1_sweep_matches_the_deep_path(monkeypatch):
+    # the deep path sends every vector of genus >= 3 to the staircase
+    # filter, with no witness shortcut at all
+    deep = []
+    verify_claim("theorem1", 6, emit=deep.append)
+    monkeypatch.setattr(census, "DEEP_CHECK_MAX_RANK", 0)
+    factored = []
+    verify_claim("theorem1", 6, emit=factored.append)
+    assert factored == deep
+
+
+REJECTED_PREFIX = (1, 1, 3)
+
+
+def test_failed_prefix_is_walked_vector_by_vector(monkeypatch):
+    ok = census._lemma4_ok
+
+    def reject_prefix(sig, total, sumsq):
+        return sig[:3] != REJECTED_PREFIX and ok(sig, total, sumsq)
+
+    calls = []
+    check = census._check_theorem1
+
+    def spy(sig):
+        calls.append(sig)
+        return check(sig)
+
+    monkeypatch.setattr(census, "DEEP_CHECK_MAX_RANK", 0)
+    monkeypatch.setattr(census, "_lemma4_ok", reject_prefix)
+    monkeypatch.setattr(census, "_check_theorem1", spy)
+    max_rank = 5
+    oracle = [_per_vector_sweeps(rank) for rank in range(1, max_rank + 1)]
+    expected_calls = [sig for _, _, rank_calls in oracle for sig in rank_calls]
+    calls.clear()
+
+    lemma4 = verify_claim("lemma4", max_rank)
+    completions = [
+        sig
+        for rank in range(1, max_rank + 1)
+        for sig, _, _ in iter_changemakers_with_sums(rank)
+        if sig[:3] == REJECTED_PREFIX
+    ]
+    assert len(completions) > 50
+    assert lemma4.counterexamples == [_lemma4_instance(sig) for sig in completions]
+    assert lemma4.instances == sum(n for n, _, _ in oracle)
+
+    theorem1 = verify_claim("theorem1", max_rank)
+    assert calls == expected_calls
+    assert [sig for sig in calls if sig[:3] == REJECTED_PREFIX] == completions
+    assert theorem1.instances == len(_theorem1_instances(expected_calls))

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmkit import (
@@ -14,7 +14,7 @@ from cmkit import (
     iter_changemakers,
     subset_representation,
 )
-from cmkit.changemaker import iter_changemakers_with_sums
+from cmkit.changemaker import count_completions, iter_changemakers_with_sums
 
 from oracle_utils import signed_sums
 
@@ -105,6 +105,43 @@ def test_iter_with_sums_consistent():
         withsums = list(iter_changemakers_with_sums(rank))
         assert [s for s, _, _ in withsums] == plain
         assert all(t == sum(s) and q == sum(x * x for x in s) for s, t, q in withsums)
+
+
+def test_iter_with_sums_prefix_and_stop_at():
+    for rank in (1, 2, 3, 4, 5):
+        full = list(iter_changemakers_with_sums(rank))
+        prefixes = {sig[:n] for sig, _, _ in full for n in range(1, rank + 2)}
+        for prefix in sorted(prefixes):
+            block = [item for item in full if item[0][: len(prefix)] == prefix]
+            assert list(iter_changemakers_with_sums(rank, prefix=prefix)) == block
+        for stop_at in (2, 3, 4):
+            rebuilt = []
+            for sig, total, sumsq in iter_changemakers_with_sums(rank, stop_at=stop_at):
+                assert total == sum(sig) and sumsq == sum(x * x for x in sig)
+                if sig[-1] < stop_at:
+                    assert len(sig) == rank + 1
+                    rebuilt.append((sig, total, sumsq))
+                else:
+                    assert all(x < stop_at for x in sig[1:-1])
+                    rebuilt += iter_changemakers_with_sums(rank, prefix=sig)
+            assert rebuilt == full
+    for bad in ((), (2,), (1, 3), (1, 1, 1, 1)):
+        with pytest.raises(ValueError):
+            list(iter_changemakers_with_sums(2, prefix=bad))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_count_completions_counts_enumerated_completions(data):
+    prefix = [1]
+    for _ in range(data.draw(st.integers(0, 3))):
+        prefix.append(data.draw(st.integers(prefix[-1], sum(prefix) + 1)))
+    left = data.draw(st.integers(0, 3))
+    rank = len(prefix) - 1 + left
+    assume(rank >= 1)
+    walked = list(iter_changemakers_with_sums(rank, prefix=tuple(prefix)))
+    assert all(sig[: len(prefix)] == tuple(prefix) for sig, _, _ in walked)
+    assert count_completions(left, prefix[-1], sum(prefix), {}) == len(walked)
 
 
 def test_changemaker_vector_properties():

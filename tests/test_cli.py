@@ -167,6 +167,21 @@ def test_census_rank_five_bytes_pinned(tmp_path, capsys, fmt):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == CENSUS_RANK5_SHA256[fmt]
 
 
+# SHA-256 of non-quiet `verify <claim> --max-rank 7`, recorded from the
+# per-vector sweeps before the prefix walk replaced them above rank 6.
+VERIFY_RANK7_SHA256 = {
+    "theorem1": "2ba2a3b971b0706235957bde1b56610729b3fcedd278195430347ff40809cb5a",
+    "lemma5": "a46b015f3a3fd081f25c895c6245a1487e225cd446e454535eb89434de72807c",
+}
+
+
+@pytest.mark.parametrize("claim", sorted(VERIFY_RANK7_SHA256))
+def test_verify_rank_seven_bytes_pinned(capsys, claim):
+    code, out, _ = run_cli(capsys, "verify", claim, "--max-rank", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_RANK7_SHA256[claim]
+
+
 def test_verify_cli_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma5", "--max-rank", "4")
     assert code == 0
