@@ -9,12 +9,20 @@ Lattice side: for a changemaker sigma with |<sigma, sigma>| = p, t_i is
 the least level k such that some all-odd vector c with
 sum(c_j^2) = (n+1) + 8k satisfies sum(c_j sigma_j) = p - 2i (mod 2p).
 Two implementations are provided: an ascending scan over odd-square
-multisets (the reference, min_level_by_scan) and a residue-indexed
-min-cost dynamic program whose coordinate bound is grown until it
-provably covers every optimal solution (the fast path).  The dynamic
-program is symmetric under r -> -r, so it runs only the positive shifts
-of each coordinate and closes it with one mirror step.  Both are exact
-and the test suite plays them against each other.
+multisets (the reference, min_level_by_scan) and a min-cost dynamic
+program whose coordinate bound is grown until it provably covers every
+optimal solution (the fast path).  The dynamic program runs on the
+integer sums themselves while they fit in a window shorter than the
+modulus 2p (changemaker prefixes are small), folds that window once onto
+the residues, and finishes the remaining coordinates there; the fold
+commutes with every later update, so the result is the residue-only
+table.  It is symmetric under r -> -r, so it runs only the positive
+shifts of each coordinate and closes it with one mirror step.  Costs are
+int32 with the sentinel 2^30; a staircase whose cost cap n+1 + 8p, or
+the square of the largest coordinate bound it could need, does not fit
+below the sentinel is refused with CapacityError before any table is
+built.  Both paths are exact and the test suite plays them against each
+other.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .changemaker import (
 )
 from .errors import CapacityError
 
-_INF = 1 << 62
+_INF = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -339,21 +347,59 @@ def torsion_at_most(sigma, i: int, level: int) -> bool:
 
 def _min_costs(sig: tuple[int, ...], modulus: int, bound: int) -> np.ndarray:
     """dp[r] = min sum of squares over odd vectors with |entries| <= bound
-    and sum(c_j sigma_j) = r (mod modulus).
+    and sum(c_j sigma_j) = r (mod modulus); unreachable entries hold _INF.
 
-    Symmetry halves the shifts: dp starts symmetric under r -> -r (only
-    dp[0] = 0 is finite), and each coordinate offers the shifts +a*s and
-    -a*s at the same cost a^2, so by induction every dp is symmetric.
-    The -a*s candidate at r is then dp[r + a*s] = dp[-r - a*s], the +a*s
-    candidate at -r; so the coordinate's result is the minimum of the
-    +a*s candidates and their mirror image.  The values, unreachable
-    entries (>= _INF) included, are exactly those of the two-sided DP.
+    Window phase: while it is shorter than the modulus, the DP runs on the
+    integer sums x themselves.  After coordinates 0..j every reachable
+    sum has |x| <= w = top * (sigma_0 + ... + sigma_j), top the largest
+    odd entry allowed, so dp lives on the window [-w, w] and a shift is a
+    plain slice with no wrap-around.  Fold: before the first coordinate
+    that would grow the window past the modulus (or after the last), the
+    window is placed onto the residues x mod modulus.  Taking the minimum
+    over a residue class commutes with the shift-by-a*s-plus-a^2 update,
+    so folding at any point gives exactly the residue-only DP; as the
+    window is at most the modulus long, each residue receives at most one
+    sum and the fold is a copy.  Cyclic phase: the remaining coordinates
+    run on the residues with wrap-around shifts.
+
+    Symmetry halves the shifts in both phases: dp starts symmetric under
+    x -> -x (only dp[0] = 0 is finite), and each coordinate offers the
+    shifts +a*s and -a*s at the same cost a^2, so by induction every dp is
+    symmetric, on the window as on the residues.  The -a*s candidate at x
+    is then dp[x + a*s] = dp[-x - a*s], the +a*s candidate at -x; so the
+    coordinate's result is the minimum of the +a*s candidates and their
+    mirror image.
+
+    Costs are int32.  Every stored value is <= _INF (each coordinate
+    starts from _INF and only takes minima), and every added cost is
+    <= bound^2, so no sum exceeds _INF + bound^2, which fits while
+    bound^2 < _INF; _staircase_cached checks that before calling.  A true
+    minimum >= _INF reads as unreachable, so callers must treat costs at
+    or above _INF as beyond their cap, which _staircase_cached does by
+    requiring its cost cap to stay below _INF.
     """
-    dp = np.full(modulus, _INF, dtype=np.int64)
-    dp[0] = 0
+    top = bound if bound % 2 else bound - 1
+    window = np.zeros(1, dtype=np.int32)  # window[w + x] for |x| <= w
+    w = split = 0
+    while split < len(sig) and 2 * (w + top * sig[split]) < modulus:
+        s = sig[split]
+        grown = w + top * s
+        best = np.full(2 * grown + 1, _INF, dtype=np.int32)
+        buf = np.empty_like(window)
+        for a in range(1, bound + 1, 2):
+            lo = grown - w + a * s  # where x = -w lands after the shift
+            np.add(window, a * a, out=buf)
+            np.minimum(best[lo : lo + buf.size], buf, out=best[lo : lo + buf.size])
+        np.minimum(best, best[::-1], out=best)
+        window, w, split = best, grown, split + 1
+
+    dp = np.full(modulus, _INF, dtype=np.int32)
+    dp[: w + 1] = window[w:]
+    dp[modulus - w :] = window[:w]
+    del window
     best = np.empty_like(dp)
     buf = np.empty_like(dp)
-    for s in sig:
+    for s in sig[split:]:
         best.fill(_INF)
         for a in range(1, bound + 1, 2):
             cost = a * a
@@ -368,6 +414,14 @@ def _min_costs(sig: tuple[int, ...], modulus: int, bound: int) -> np.ndarray:
     return dp
 
 
+def _start_bound(g: int, n1: int) -> int:
+    """First coordinate bound of the certified loop: isqrt(4g + n+1), made
+    odd and at least 3.  The loop grows the bound as far as the costs it
+    finds require, so any start gives the same staircase; the start only
+    decides how often the loop recomputes."""
+    return max(3, math.isqrt(4 * g + n1)) | 1
+
+
 @lru_cache(maxsize=512)
 def _staircase_cached(sig: tuple[int, ...]) -> tuple[int, ...]:
     p = sum(x * x for x in sig)
@@ -375,27 +429,35 @@ def _staircase_cached(sig: tuple[int, ...]) -> tuple[int, ...]:
     g = (p - one) // 2
     n1 = len(sig)
     modulus = 2 * p
-    needed = [(p - 2 * i) % modulus for i in range(g + 1)]
     cost_cap = n1 + 8 * p  # level safety cap: k <= p
-    bound = max(3, math.isqrt(4 * g + n1)) | 1
+    # Every cost <= cost_cap comes from entries <= isqrt(cost_cap - n1 + 1),
+    # so no bound past this one is ever needed; the loop never exceeds it.
+    largest_bound = (math.isqrt(cost_cap) + 2) | 1
+    if cost_cap >= _INF or largest_bound * largest_bound >= _INF:
+        raise CapacityError(
+            f"p = {p} is past the int32 staircase limit: the cost cap {cost_cap} "
+            f"and the squared bound {largest_bound ** 2} must stay below {_INF}"
+        )
+    needed = (p - 2 * np.arange(g + 1)) % modulus
+    bound = _start_bound(g, n1)
     while True:
         costs = _min_costs(sig, modulus, bound)
-        picked = [int(costs[r]) for r in needed]
-        if all(c < _INF for c in picked):
-            worst = max(picked)
+        picked = costs[needed]
+        if (picked < _INF).all():
+            worst = int(picked.max())
             # In any optimal vector every other coordinate contributes at
             # least 1, so entries are bounded by sqrt(cost - (n+1) + 1);
             # once `bound` covers that, the dp values are provably minimal.
-            required = math.isqrt(worst - n1 + 1)
+            # At largest_bound they are minimal up to cost_cap, and a worst
+            # cost past it is a level past p, refused below.
+            required = min(math.isqrt(worst - n1 + 1), largest_bound)
             if bound >= required:
-                levels = []
-                for c in picked:
-                    if (c - n1) % 8:
-                        raise AssertionError("characteristic cost parity broken")
-                    levels.append((c - n1) // 8)
-                if max(levels) > p:
+                if ((picked - n1) % 8).any():
+                    raise AssertionError("characteristic cost parity broken")
+                levels = (picked - n1) // 8
+                if (worst - n1) // 8 > p:
                     raise CapacityError("torsion level exceeded the safety cap p")
-                return tuple(levels)
+                return tuple(levels.tolist())
             bound = required | 1
         else:
             if bound * bound > cost_cap:

@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's own code paths: exact polynomial
 arithmetic for torus-knot Alexander coefficients, itertools-based signed
-sums, a naive recursive determinant and a brute-force odd-vector cost
-table.
+sums, a naive recursive determinant, a brute-force odd-vector cost table
+and a residue-only odd-vector cost DP.
 """
 
 from itertools import product
+
+import numpy as np
 
 
 def poly_mul(a, b):
@@ -104,3 +106,34 @@ def min_odd_costs(sig, modulus, bound):
         if r not in best or cost < best[r]:
             best[r] = cost
     return best
+
+
+CYCLIC_INF = 1 << 62
+
+
+def min_costs_cyclic(sig, modulus, bound):
+    """The odd-vector cost table of min_odd_costs as an int64 array, by a
+    DP over the residues mod modulus alone: every coordinate shifts the
+    whole residue array, wrapping around.  Unreached residues hold
+    CYCLIC_INF or more.
+
+    dp stays symmetric under r -> -r (it starts at dp[0] = 0, and each
+    coordinate offers +a*s and -a*s at the same cost), so only the +a*s
+    shifts run and a mirror step closes each coordinate.
+    """
+    dp = np.full(modulus, CYCLIC_INF, dtype=np.int64)
+    dp[0] = 0
+    best = np.empty_like(dp)
+    buf = np.empty_like(dp)
+    for s in sig:
+        best.fill(CYCLIC_INF)
+        for a in range(1, bound + 1, 2):
+            k = a * s % modulus
+            # buf = dp rotated right by k, plus a^2
+            np.add(dp[: modulus - k], a * a, out=buf[k:])
+            np.add(dp[modulus - k :], a * a, out=buf[:k])
+            np.minimum(best, buf, out=best)
+        buf[1:] = best[:0:-1]  # buf[r] = best[-r mod modulus] for r >= 1
+        np.minimum(best[1:], buf[1:], out=best[1:])
+        dp, best = best, dp
+    return dp

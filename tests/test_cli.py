@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import cmkit.torsion
 from cmkit.cli import main
 
 
@@ -66,6 +67,19 @@ def test_torsion_rejects_non_changemaker(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "torsion", "0", "1")
     assert code == 2
+
+
+def test_torsion_past_int32_limit_exits_three(capsys, monkeypatch):
+    # p = 357,913,942: the cost cap n+1 + 8p is past the DP's int32 limit
+    # of 2^30, so the command must stop before any residue table exists.
+    monkeypatch.setattr(
+        cmkit.torsion, "_min_costs", lambda *args: pytest.fail("DP ran past the limit")
+    )
+    sigma = (1, 1, *(2**k for k in range(1, 15)))
+    code, out, err = run_cli(capsys, "torsion", *map(str, sigma))
+    assert code == 3
+    assert out == ""
+    assert "int32 staircase limit" in err
 
 
 def test_gram_linear(capsys):
@@ -180,6 +194,46 @@ def test_verify_rank_seven_bytes_pinned(capsys, claim):
     code, out, _ = run_cli(capsys, "verify", claim, "--max-rank", "7")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_RANK7_SHA256[claim]
+
+
+# SHA-256 of `torsion <sigma>` in each format for staircases with p from
+# 4,267 to 87,381, recorded from the residue-only DP before the integer-sum
+# window and its fold were added; every one of them folds before its last
+# coordinate.
+TORSION_LARGE_P_SHA256 = {
+    (1, 1, 2, 4, 8, 16, 30, 55): (
+        "cd11d04d1ec52dbe32084ddfa4154e937019fd24c8f9e8ecc5251d93aac636ac",
+        "d9018e9cb2e91a5634eef0ac27a236dea5d85b9ab6f5693ef3177974304c3dc9",
+    ),
+    (1, 1, 1, 3, 3, 9, 17, 35, 60): (
+        "f0e8619f568ce36bc8654041302d5bab47079342ed70ddb3f2e105180be6161f",
+        "d8d079647aee3eadb3d4cbbfe085804b2e6eda77897dc52ff5ecca6cbb87f11e",
+    ),
+    (1, 2, 3, 5, 10, 20, 40, 80, 120): (
+        "0ca8c30374d346f6ed7002517d20a2f082c1d3203058b85294b6e1a56c8eaa75",
+        "d53bf2862753a6684a6decdc96dfdf32e03ccab317c056524c54b39bc1ba46a9",
+    ),
+    (1, 1, 2, 2, 6, 12, 24, 48, 96, 180): (
+        "02de1dc538ed8d8ea575568453a17bb812f648f83b5900ab6fa436da5df37fa5",
+        "3b8f668be494c7ae24e35364c769ec791f9e157d4a28611d3fb5ca43b5c7d72e",
+    ),
+    (1, 2, 4, 8, 16, 32, 64, 128, 200): (
+        "c276b5e7d8bacbb6e69038b7680accd79c1f246cf44b5da823cfd2af7db6983d",
+        "d65dc09b6f2a0fc29a9eab05169a64f4c6ac44f6644db883eaa01b12ec803d11",
+    ),
+    (1, 2, 4, 8, 16, 32, 64, 128, 256): (
+        "a4f142cca70e0f161efaa185d7c763254c0c94ac756401fa05c0bee35d12c1bb",
+        "011dd82a0b715b50e0b8b441d867f99849da663158a1a846742cd0871368fe35",
+    ),
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(TORSION_LARGE_P_SHA256))
+def test_torsion_large_p_bytes_pinned(capsys, sigma):
+    for fmt, digest in zip(("json", "csv"), TORSION_LARGE_P_SHA256[sigma]):
+        code, out, _ = run_cli(capsys, "torsion", *map(str, sigma), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def test_verify_cli_small(capsys):

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmkit import (
@@ -23,9 +25,15 @@ from cmkit import (
     torsion_staircase,
     torus_knot_exponents,
 )
+from cmkit import torsion
 from cmkit.torsion import _INF, _min_costs
 
-from oracle_utils import min_odd_costs, torus_alexander_coefficients
+from oracle_utils import (
+    CYCLIC_INF,
+    min_costs_cyclic,
+    min_odd_costs,
+    torus_alexander_coefficients,
+)
 
 
 def test_coefficients_examples():
@@ -178,6 +186,79 @@ def test_min_costs_against_brute_force(sig, modulus, bound):
         else:
             assert dp[r] >= _INF, r
         assert dp[r] == dp[-r % modulus], r
+
+
+@st.composite
+def _dp_cases(draw, max_rank=7):
+    """A changemaker of rank <= max_rank with sigma_0 = 1, a coordinate
+    bound up to about twice the certified loop's first one, and either the
+    staircase modulus 2p or an odd modulus up to 2p + 1; small moduli fold
+    the integer-sum window before the first coordinate, large ones late
+    or never."""
+    sig = [1]
+    for _ in range(draw(st.integers(min_value=0, max_value=max_rank))):
+        sig.append(draw(st.integers(min_value=sig[-1], max_value=1 + sum(sig))))
+    p = sum(x * x for x in sig)
+    g = (p - sum(sig)) // 2
+    bound = draw(st.integers(min_value=1, max_value=2 * math.isqrt(4 * g + len(sig) + 1)))
+    odd = st.integers(min_value=0, max_value=p).map(lambda k: 2 * k + 1)
+    modulus = draw(st.one_of(st.just(2 * p), odd))
+    return tuple(sig), modulus, bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dp_cases())
+@example(((1, 1, 3), 5, 3))  # the window folds before coordinate 0
+@example(((1, 2, 4, 8), 170, 9))  # it folds before coordinate 3
+@example(((1, 2, 4, 8), 170, 1))  # it folds after the last coordinate
+def test_min_costs_against_cyclic_oracle(case):
+    sig, modulus, bound = case
+    got = _min_costs(sig, modulus, bound)
+    want = min_costs_cyclic(sig, modulus, bound)
+    reached = want < CYCLIC_INF
+    assert got.shape == want.shape
+    assert ((got < _INF) == reached).all()
+    assert (got[reached] == want[reached]).all()
+    assert (got[~reached] >= _INF).all()
+    assert (got == got[-np.arange(modulus) % modulus]).all()
+
+
+def test_bound_regrowth_from_bound_one(monkeypatch):
+    """Started from bound 1, the certified loop must run both growth
+    branches (needed residues unreachable: double; reachable but the bound
+    too small to certify them: grow to `required`) and still return the
+    exact staircases."""
+    small = [sig for rank in (1, 2, 3) for sig in iter_changemakers(rank)]
+    rank5 = random.Random(5).sample(list(iter_changemakers(5)), 40)
+    torsion._staircase_cached.cache_clear()
+    default = {sig: torsion_staircase(sig) for sig in rank5}
+    real = torsion._min_costs
+    reached = {}  # sig -> per _min_costs call: were all needed residues reached?
+
+    def recording(sig, modulus, bound):
+        costs = real(sig, modulus, bound)
+        p = modulus // 2
+        g = (p - sum(sig)) // 2
+        needed = [(p - 2 * i) % modulus for i in range(g + 1)]
+        reached.setdefault(sig, []).append(all(costs[r] < _INF for r in needed))
+        return costs
+
+    monkeypatch.setattr(torsion, "_start_bound", lambda g, n1: 1)
+    monkeypatch.setattr(torsion, "_min_costs", recording)
+    torsion._staircase_cached.cache_clear()
+    try:
+        for sig in small:
+            stair = torsion_staircase(sig)
+            for i in range(genus_from_changemaker(sig) + 1):
+                assert stair[i] == min_level_by_scan(sig, i), (sig, i)
+        for sig in rank5:
+            assert torsion_staircase(sig) == default[sig], sig
+    finally:
+        torsion._staircase_cached.cache_clear()
+    regrown = [flags[:-1] for flags in reached.values()]
+    assert any(False in flags for flags in regrown)  # unreachable -> double
+    assert any(True in flags for flags in regrown)  # uncertified -> required
+    assert all(flags[-1] for flags in reached.values())
 
 
 def test_scan_agrees_with_dp_on_small_changemakers():
