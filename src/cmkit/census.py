@@ -14,8 +14,8 @@ from .changemaker import (
     iter_changemakers_with_sums,
 )
 from .errors import CapacityError
-from .graphs import intersection_graph, leading_ones, standard_basis
-from .lattice import complement_basis, gram_matrix, inner_product
+from .graphs import intersection_graph, leading_ones, orthogonal_basis, standard_basis
+from .lattice import gram_matrix, inner_product
 from .linear import gerstein_isomorphic, recognize_linear
 from .torsion import (
     TorsionSequence,
@@ -91,6 +91,22 @@ def _theorem1_conclusions(cm: ChangemakerVector, g: int, exponents, linear) -> b
     return False
 
 
+def _tail_of_2s(cm: ChangemakerVector):
+    """(k, family, linear, claw, connected) for sigma = (1^k, 2^m), m >= 1.
+
+    family is FAMILY_ONE for k = 1, FAMILY_THREE for k = 3 and None
+    otherwise; linear is the chain (p, q) the exhaustive recognizer finds
+    for the standard basis, or None; claw and connected describe its
+    intersection graph.
+    """
+    k = leading_ones(cm)
+    basis = standard_basis(cm)
+    graph = intersection_graph(basis)
+    family = FAMILY_ONE if k == 1 else FAMILY_THREE if k == 3 else None
+    linear = recognize_linear(gram_matrix(basis), max_rank=cm.rank)
+    return k, family, linear, graph.has_induced_claw(), graph.is_connected()
+
+
 def build_record(sigma) -> CensusRecord:
     """Evaluate every census column for one changemaker."""
     cm = sigma if isinstance(sigma, ChangemakerVector) else ChangemakerVector(tuple(sigma))
@@ -105,22 +121,17 @@ def build_record(sigma) -> CensusRecord:
     k: int | None = None
     linear: tuple[int, int] | None = None
     if sig[-1] == 2:
-        k = leading_ones(cm)
-        basis = standard_basis(cm)
-        graph = intersection_graph(basis)
-        if k == 1:
-            classification = FAMILY_ONE
-        elif k == 3:
-            classification = FAMILY_THREE
-        elif not graph.is_connected():
+        # Lemma-5-style content is checked, not assumed: _tail_of_2s runs
+        # the exhaustive recognizer on every tail-of-2s record.
+        k, family, linear, claw, connected = _tail_of_2s(cm)
+        if family is not None:
+            classification = family
+        elif not connected:
             classification = DECOMPOSABLE
-        elif graph.has_induced_claw():
+        elif claw:
             classification = CLAW
         else:
             classification = OTHER
-        # Lemma-5-style content is checked, not assumed: run the exhaustive
-        # recognizer on every tail-of-2s record.
-        linear = recognize_linear(gram_matrix(basis), max_rank=cm.rank)
     elif sig[-1] >= 3:
         classification = BIG_TAIL
     else:
@@ -144,6 +155,15 @@ def build_record(sigma) -> CensusRecord:
     )
 
 
+def check_rank_cap(max_rank: int, cap: int = VERIFY_MAX_RANK, what: str = "verification") -> None:
+    """Refuse a max rank below 0 (ValueError) or past cap (CapacityError),
+    before any work or output starts."""
+    if max_rank < 0:
+        raise ValueError("max rank must be >= 0")
+    if max_rank > cap:
+        raise CapacityError(f"{what} capped at rank {cap}, got {max_rank}")
+
+
 def run_census(
     max_rank: int,
     *,
@@ -153,10 +173,7 @@ def run_census(
     """Records for every sigma_0 = 1 changemaker of rank 1..max_rank, in
     rank order and lexicographic within each rank.  Validates eagerly and
     returns a generator."""
-    if max_rank < 0:
-        raise ValueError("max rank must be >= 0")
-    if max_rank > cap:
-        raise CapacityError(f"census capped at rank {cap}, got {max_rank}")
+    check_rank_cap(max_rank, cap, "census")
 
     def stream() -> Iterator[CensusRecord]:
         for rank in range(1, max_rank + 1):
@@ -245,8 +262,9 @@ def _lemma4_instance(sig: tuple[int, ...]) -> dict:
 
 #: Through this rank the sweeps run the full object-level checks, vector
 #: by vector, with the independent ascending torsion scan.  Above it
-#: lemma4 (quiet) and theorem1 walk prefixes instead (see _sweep_vectors):
-#: one witness check per prefix settles the whole block of its completions.
+#: lemma4 (quiet) and theorem1 walk prefixes instead (see _lemma4_walk and
+#: _theorem1_walk): one witness check per prefix settles the whole block
+#: of its completions.
 DEEP_CHECK_MAX_RANK = 6
 
 
@@ -279,72 +297,37 @@ def _lemma4_ok(sig: tuple[int, ...], total: int, sumsq: int) -> bool:
     return not rem
 
 
-def _sweep_vectors(
-    rank: int, settled: Callable[[tuple[int, ...], int, int], None] | None
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(sigma, sum, sum of squares) for every vector of one rank that a
-    sweep must look at, in lexicographic order.
+def _every_vector(rank: int, settle) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    return iter_changemakers_with_sums(rank)
 
-    With settled None, or at or below DEEP_CHECK_MAX_RANK, that is every
-    vector.  Above it the walk stops at each vector's first entry >= 3:
-    the prefix sigma_0..sigma_t stands for the block of all its
-    completions.  The prefix is itself a sigma_0 = 1 changemaker and
-    _lemma4_ok reads only sigma_0..sigma_t, so one call decides the whole
-    block.  A block that passes is reported as settled(prefix, total,
-    left), left being the number of entries after t, and is not walked.
-    A block that fails is walked vector by vector in place, and vectors
-    whose entries are all <= 2 are yielded as they come, so the sweep sees
-    its per-vector cases in the same order as a full walk.
+
+def _lemma4_walk(rank: int, settle) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Quiet lemma4: every vector at or below DEEP_CHECK_MAX_RANK.  Above
+    it the walk stops at each vector's first entry >= 3.  The prefix
+    sigma_0..sigma_t is itself a sigma_0 = 1 changemaker and _lemma4_ok
+    reads only sigma_0..sigma_t, so one call decides the block of all its
+    completions, which the walk settles without yielding it: a block that
+    passes is counted, and in a block that fails every completion fails
+    the witness check as the prefix does and is a counterexample.  Vectors
+    whose entries are all <= 2 are not instances and are skipped.
     """
-    if settled is None or rank <= DEEP_CHECK_MAX_RANK:
+    if rank <= DEEP_CHECK_MAX_RANK:
         yield from iter_changemakers_with_sums(rank)
         return
+    memo: dict = {}
     for prefix, total, sumsq in iter_changemakers_with_sums(rank, stop_at=3):
         if prefix[-1] < 3:
-            yield prefix, total, sumsq
-        elif _lemma4_ok(prefix, total, sumsq):
-            settled(prefix, total, rank + 1 - len(prefix))
+            continue
+        if _lemma4_ok(prefix, total, sumsq):
+            settle(count_completions(rank + 1 - len(prefix), prefix[-1], total, memo))
         else:
-            yield from iter_changemakers_with_sums(rank, prefix=prefix)
+            block = iter_changemakers_with_sums(rank, prefix=prefix)
+            failed = [_lemma4_instance(sig) for sig, _, _ in block]
+            settle(len(failed), failed)
 
 
-def _verify_lemma4(max_rank: int, emit) -> VerificationResult:
-    instances = 0
-    bad: list[dict] = []
-    memo: dict = {}
-
-    def settled(prefix, total, left):
-        # every completion has an entry >= 3 and passes the witness check
-        nonlocal instances
-        instances += count_completions(left, prefix[-1], total, memo)
-
-    for rank in range(1, max_rank + 1):
-        deep = rank <= DEEP_CHECK_MAX_RANK or emit is not None
-        for sig, total, sumsq in _sweep_vectors(rank, None if deep else settled):
-            if sig[-1] < 3:
-                continue
-            instances += 1
-            info = _lemma4_instance(sig)
-            if emit is not None:
-                emit(info)
-            # above the deep rank only the completions of a prefix that
-            # failed the witness check get here, and each of them fails it
-            if not deep or not info["ok"]:
-                bad.append(info)
-    return VerificationResult("lemma4", max_rank, instances, bad)
-
-
-def _check_lemma5(sig: tuple[int, ...]) -> dict | None:
-    if sig[-1] != 2:
-        return None
-    cm = ChangemakerVector(sig)
-    k = leading_ones(cm)
-    basis = standard_basis(cm)
-    graph = intersection_graph(basis)
-    claw = graph.has_induced_claw()
-    connected = graph.is_connected()
-    linear = recognize_linear(gram_matrix(basis), max_rank=cm.rank)
-    family = FAMILY_ONE if k == 1 else FAMILY_THREE if k == 3 else None
+def _check_lemma5(sig: tuple[int, ...]) -> dict:
+    k, family, linear, claw, connected = _tail_of_2s(ChangemakerVector(sig))
     ok = (
         (linear is not None) == (family is not None)
         and claw == (k >= 4)
@@ -363,26 +346,13 @@ def _check_lemma5(sig: tuple[int, ...]) -> dict | None:
     }
 
 
-def _verify_theorem1(max_rank: int, emit) -> VerificationResult:
-    instances = 0
-    bad: list[dict] = []
-    for rank in range(1, max_rank + 1):
-        # Above the deep rank a settled block is skipped whole: a validated
-        # witness certifies t_{g-3} <= 1, killing the hypothesis t_{g-3} >= 2
-        # without any scan.  Everything else gets the honest staircase
-        # filter below.
-        for sig, total, sumsq in _sweep_vectors(rank, lambda *block: None):
-            if (sumsq - total) // 2 < 3:
-                continue
-            info = _check_theorem1(sig)
-            if info is None:
-                continue
-            instances += 1
-            if emit is not None:
-                emit(info)
-            if not info["ok"]:
-                bad.append(info)
-    return VerificationResult("theorem1", max_rank, instances, bad)
+def _lemma5_walk(rank: int, settle) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The changemakers of one rank that end in 2.  A nondecreasing
+    changemaker with sigma_0 = 1 ends in 2 iff it is (1^k, 2^m) with
+    k, m >= 1; k falling from rank to 1 is lexicographic order."""
+    for k in range(rank, 0, -1):
+        m = rank + 1 - k
+        yield (1,) * k + (2,) * m, k + 2 * m, k + 4 * m
 
 
 def _check_theorem1(sig: tuple[int, ...]) -> dict | None:
@@ -395,8 +365,7 @@ def _check_theorem1(sig: tuple[int, ...]) -> dict | None:
         return None
     if torsion_at_most(cm, g - 2, 0) or not torsion_at_most(cm, g - 2, 1):
         return None
-    basis = standard_basis(cm) if sig[-1] == 2 else complement_basis(sig)
-    linear = recognize_linear(gram_matrix(basis), max_rank=cm.rank)
+    linear = recognize_linear(gram_matrix(orthogonal_basis(sig)), max_rank=cm.rank)
     info = {
         "kind": "instance",
         "claim": "theorem1",
@@ -429,14 +398,46 @@ def _check_theorem1(sig: tuple[int, ...]) -> dict | None:
     return info
 
 
-def _verify_lemma5(max_rank: int, emit) -> VerificationResult:
+def _theorem1_walk(rank: int, settle) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every vector at or below DEEP_CHECK_MAX_RANK.  Above it, as in
+    _lemma4_walk, a prefix that passes _lemma4_ok stands for its block,
+    which is skipped: the validated witness certifies t_{g-3} <= 1 for
+    every completion, killing the hypothesis t_{g-3} >= 2 without any
+    scan.  The completions of a failing prefix and the vectors whose
+    entries are all <= 2 are yielded in order, for the honest staircase
+    filter of _check_theorem1."""
+    if rank <= DEEP_CHECK_MAX_RANK:
+        yield from iter_changemakers_with_sums(rank)
+        return
+    for prefix, total, sumsq in iter_changemakers_with_sums(rank, stop_at=3):
+        if prefix[-1] < 3:
+            yield prefix, total, sumsq
+        elif not _lemma4_ok(prefix, total, sumsq):
+            yield from iter_changemakers_with_sums(rank, prefix=prefix)
+
+
+def _run_sweep(claim: str, max_rank: int, walk, check, emit) -> VerificationResult:
+    """The sweep loop of every claim.
+
+    For each rank, walk(rank, settle) yields (sigma, sum, sum of squares)
+    in lexicographic order, and check(sigma, sum, sum of squares) returns
+    the instance record, or None when sigma is not an instance; a record
+    whose "ok" is false is a counterexample.  A walk that decides a block
+    of vectors at once reports it as settle(count, failures): count
+    instances, of which the records in failures, in order, are the
+    counterexamples.  Settled instances are not emitted.
+    """
     instances = 0
     bad: list[dict] = []
+
+    def settle(count: int, failures=()) -> None:
+        nonlocal instances
+        instances += count
+        bad.extend(failures)
+
     for rank in range(1, max_rank + 1):
-        # a nondecreasing vector ends in 2 iff every entry is 1 or 2, so the
-        # capped enumeration already contains every relevant sigma
-        for sig in iter_changemakers(rank, max_entry=2):
-            info = _check_lemma5(sig)
+        for sig, total, sumsq in walk(rank, settle):
+            info = check(sig, total, sumsq)
             if info is None:
                 continue
             instances += 1
@@ -444,7 +445,7 @@ def _verify_lemma5(max_rank: int, emit) -> VerificationResult:
                 emit(info)
             if not info["ok"]:
                 bad.append(info)
-    return VerificationResult("lemma5", max_rank, instances, bad)
+    return VerificationResult(claim, max_rank, instances, bad)
 
 
 def verify_claim(
@@ -462,12 +463,21 @@ def verify_claim(
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
-    if max_rank < 0:
-        raise ValueError("max rank must be >= 0")
-    if max_rank > cap:
-        raise CapacityError(f"verification capped at rank {cap}, got {max_rank}")
-    if claim == "lemma4":
-        return _verify_lemma4(max_rank, emit)
-    if claim == "lemma5":
-        return _verify_lemma5(max_rank, emit)
-    return _verify_theorem1(max_rank, emit)
+    check_rank_cap(max_rank, cap)
+    # lemma4's prefix walk settles blocks without per-vector records, so a
+    # sweep that emits them walks every vector; theorem1 spares genus < 3
+    # the call, read off the running sums as (sumsq - total) / 2
+    walk, check = {
+        "lemma4": (
+            _lemma4_walk if emit is None else _every_vector,
+            lambda sig, total, sumsq: _lemma4_instance(sig) if sig[-1] >= 3 else None,
+        ),
+        "lemma5": (_lemma5_walk, lambda sig, total, sumsq: _check_lemma5(sig)),
+        "theorem1": (
+            _theorem1_walk,
+            lambda sig, total, sumsq: (
+                _check_theorem1(sig) if (sumsq - total) // 2 >= 3 else None
+            ),
+        ),
+    }[claim]
+    return _run_sweep(claim, max_rank, walk, check, emit)

@@ -149,24 +149,7 @@ def iter_changemakers(
     max_entry caps each entry below the defining ceiling; by default the
     ceiling itself (1 + the running sum) is the only bound.
     """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if rank > cap:
-        raise CapacityError(f"enumeration capped at rank {cap}, got {rank}")
-
-    def extend(prefix: list[int], total: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == rank + 1:
-            yield tuple(prefix)
-            return
-        hi = total + 1
-        if max_entry is not None:
-            hi = min(hi, max_entry)
-        for v in range(prefix[-1], hi + 1):
-            prefix.append(v)
-            yield from extend(prefix, total + v)
-            prefix.pop()
-
-    yield from extend([1], 1)
+    return (sig for sig, _, _ in iter_changemakers_with_sums(rank, cap, max_entry=max_entry))
 
 
 def enumerate_changemakers(
@@ -190,12 +173,14 @@ def iter_changemakers_with_sums(
     *,
     prefix: tuple[int, ...] = (1,),
     stop_at: int | None = None,
+    max_entry: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(sigma, sum, sum of squares) triples, same order as iter_changemakers.
+    """(sigma, sum, sum of squares) for the changemakers with sigma_0 = 1
+    in -Z^(rank+1), in lexicographic order: the one enumeration walk.
 
     The running sums come for free from the enumeration tree; the large
     verification sweeps lean on this to avoid re-summing millions of
-    vectors.
+    vectors.  max_entry caps each entry as in iter_changemakers.
 
     prefix restricts the walk to the completions of a sigma_0 = 1
     changemaker of length at most rank + 1.  With stop_at, a vector is cut
@@ -217,7 +202,8 @@ def iter_changemakers_with_sums(
         if i == last:
             yield tuple(sig), total, sumsq
             return
-        lo, hi = sig[i - 1], total + 1
+        lo = sig[i - 1]
+        hi = total + 1 if max_entry is None else min(total + 1, max_entry)
         top = hi if stop_at is None else min(hi, stop_at - 1)
         for v in range(lo, top + 1):
             sig[i] = v

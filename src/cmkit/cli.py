@@ -16,8 +16,8 @@ from contextlib import contextmanager
 from . import census as census_mod
 from .changemaker import ChangemakerVector, is_changemaker
 from .errors import CapacityError
-from .graphs import standard_basis
-from .lattice import complement_basis, gram_matrix
+from .graphs import orthogonal_basis
+from .lattice import gram_matrix
 from .linear import cf_expand, linear_gram
 from .torsion import genus_from_changemaker, torsion_staircase
 
@@ -69,15 +69,7 @@ def _cmd_gram(args, out) -> int:
         sig = tuple(args.values)
         if not any(sig):
             raise ValueError("sigma must be nonzero")
-        if (
-            is_changemaker(sig)
-            and sig[-1] == 2
-            and all(v in (1, 2) for v in sig)
-        ):
-            basis = standard_basis(sig)
-        else:
-            basis = complement_basis(sig)
-        gram = gram_matrix(basis)
+        gram = gram_matrix(orthogonal_basis(sig))
         meta = {"source": "sigma", "sigma": list(sig)}
     if args.format == "csv":
         for row in gram:
@@ -182,13 +174,7 @@ def _cmd_census(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if args.max_rank < 0:
-        raise ValueError("max rank must be >= 0")
-    if args.max_rank > census_mod.VERIFY_MAX_RANK:
-        raise CapacityError(
-            f"verification capped at rank {census_mod.VERIFY_MAX_RANK}, "
-            f"got {args.max_rank}"
-        )
+    census_mod.check_rank_cap(args.max_rank)  # refuse before the header
     print(
         _dump(
             {

@@ -5,8 +5,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import combinations
 
-from .changemaker import as_changemaker
-from .lattice import Vector, inner_product
+from .changemaker import as_changemaker, is_changemaker
+from .lattice import Vector, complement_basis, inner_product
 
 
 def leading_ones(sigma) -> int:
@@ -55,6 +55,18 @@ def standard_basis(sigma) -> list[Vector]:
     if k == 3:
         vectors[0], vectors[1] = vectors[1], vectors[0]
     return vectors
+
+
+def orthogonal_basis(sigma) -> list[Vector]:
+    """Basis of the orthogonal complement of a nonzero sigma: standard_basis
+    for a changemaker of shape (1^k, 2^m) with m >= 1, complement_basis
+    for any other vector.  Each test is needed: (2, 2) and (1, 2, 1, 2)
+    fail only the changemaker test, (0, 1, 2) only the shape test, and
+    standard_basis rejects all three."""
+    sig = tuple(sigma)
+    if is_changemaker(sig) and sig[-1] == 2 and all(v in (1, 2) for v in sig):
+        return standard_basis(sig)
+    return complement_basis(sig)
 
 
 class IntersectionGraph:
@@ -117,11 +129,3 @@ def intersection_graph(basis) -> IntersectionGraph:
         if abs(inner_product(vecs[i], vecs[j])) == 1
     }
     return IntersectionGraph(vecs, edges)
-
-
-def has_induced_claw(graph: IntersectionGraph) -> bool:
-    return graph.has_induced_claw()
-
-
-def is_connected(graph: IntersectionGraph) -> bool:
-    return graph.is_connected()

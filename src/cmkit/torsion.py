@@ -20,7 +20,8 @@ table.  It is symmetric under r -> -r, so it runs only the positive
 shifts of each coordinate and closes it with one mirror step.  Costs are
 int32 with the sentinel 2^30; a staircase whose cost cap n+1 + 8p, or
 the square of the largest coordinate bound it could need, does not fit
-below the sentinel is refused with CapacityError before any table is
+below the sentinel, or whose p is past the measured capacity
+STAIRCASE_MAX_P, is refused with CapacityError before any table is
 built.  Both paths are exact and the test suite plays them against each
 other.
 """
@@ -41,6 +42,14 @@ from .changemaker import (
 from .errors import CapacityError
 
 _INF = 1 << 30
+#: Largest p a staircase is built for.  Measured on a 2-CPU machine:
+#: (1, 2, 4, ..., 512, 908, 908), p = 1,998,453, takes about 20 s and
+#: 110 MB; (1, 2, 4, ..., 2048), p = 5,592,405, took about 90 s and 250 MB.
+#: The time grows with the rank too (a rank-30 sigma with p = 1,977,382
+#: took 129 s), so the cap bounds p, not the time.
+#: Below it the int32 limit checked next to it is out of reach (n+1 <= p,
+#: so the cost cap n+1 + 8p is at most 9p < 2^30).
+STAIRCASE_MAX_P = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -438,6 +447,8 @@ def _staircase_cached(sig: tuple[int, ...]) -> tuple[int, ...]:
             f"p = {p} is past the int32 staircase limit: the cost cap {cost_cap} "
             f"and the squared bound {largest_bound ** 2} must stay below {_INF}"
         )
+    if p > STAIRCASE_MAX_P:
+        raise CapacityError(f"p = {p} is past the staircase capacity p <= {STAIRCASE_MAX_P}")
     needed = (p - 2 * np.arange(g + 1)) % modulus
     bound = _start_bound(g, n1)
     while True:

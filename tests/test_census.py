@@ -18,7 +18,7 @@ from cmkit.census import (
     _lemma4_instance,
     _lemma4_ok,
 )
-from cmkit.changemaker import iter_changemakers_with_sums
+from cmkit.changemaker import iter_changemakers, iter_changemakers_with_sums
 
 
 def test_build_record_family_one():
@@ -141,6 +141,15 @@ def test_verify_lemma5_instances_are_tail_two():
     assert families[(1, 2, 2)] == FAMILY_ONE
     assert families[(1, 1, 1, 2)] == FAMILY_THREE
     assert families[(1, 1, 2)] is None
+
+
+def test_lemma5_walk_writes_every_tail_of_2s_vector():
+    for rank in range(1, 7):
+        walked = list(census._lemma5_walk(rank, None))
+        assert [sig for sig, _, _ in walked] == [
+            sig for sig in iter_changemakers(rank) if sig[-1] == 2
+        ]
+        assert all(t == sum(s) and q == sum(x * x for x in s) for s, t, q in walked)
 
 
 def test_verify_theorem1_instances():

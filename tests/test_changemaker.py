@@ -87,6 +87,17 @@ def test_enumerate_complete_against_box_scan():
         assert set(iter_changemakers(rank)) == brute
 
 
+def test_walk_against_box_scan_with_max_entry():
+    # sorted box scan: an independent oracle for the one walk, order
+    # included, with and without the entry cap
+    for rank in (1, 2, 3, 4):
+        boxes = [range(1, 2 ** (i + 1)) for i in range(rank + 1)]
+        brute = sorted(sig for sig in itertools.product(*boxes) if is_changemaker(sig))
+        for max_entry in (None, 2, 3):
+            expected = [s for s in brute if max_entry is None or max(s) <= max_entry]
+            assert list(iter_changemakers(rank, max_entry=max_entry)) == expected
+
+
 def test_enumerate_max_entry_bound():
     got = list(iter_changemakers(2, max_entry=2))
     assert got == [(1, 1, 1), (1, 1, 2), (1, 2, 2)]

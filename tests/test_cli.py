@@ -82,6 +82,20 @@ def test_torsion_past_int32_limit_exits_three(capsys, monkeypatch):
     assert "int32 staircase limit" in err
 
 
+def test_torsion_past_p_capacity_exits_three(capsys, monkeypatch):
+    # just past STAIRCASE_MAX_P, far inside the int32 limit: refused before
+    # any residue table exists
+    monkeypatch.setattr(
+        cmkit.torsion, "_min_costs", lambda *args: pytest.fail("DP ran past the capacity")
+    )
+    sigma = (*(2**k for k in range(10)), 908, 909)
+    assert sum(v * v for v in sigma) == cmkit.torsion.STAIRCASE_MAX_P + 270
+    code, out, err = run_cli(capsys, "torsion", *map(str, sigma))
+    assert code == 3
+    assert out == ""
+    assert "staircase capacity" in err
+
+
 def test_gram_linear(capsys):
     code, out, _ = run_cli(capsys, "gram", "--linear", "9", "2")
     (obj,) = json_lines(out)
@@ -98,6 +112,20 @@ def test_gram_sigma_general(capsys):
     code, out, _ = run_cli(capsys, "gram", "1", "1", "3")
     (obj,) = json_lines(out)
     assert len(obj["gram"]) == 2
+
+
+def test_gram_basis_choice_edges(capsys):
+    # (2, 2) and (0, 1, 2) end in 2 but are not sigma_0 = 1 changemakers of
+    # shape (1^k, 2^m): they take complement_basis, recorded before the
+    # basis choice moved into one function
+    for values, gram in (((2, 2), [[-2]]), ((0, 1, 2), [[-1, 0], [0, -5]])):
+        code, out, _ = run_cli(capsys, "gram", *map(str, values))
+        assert code == 0
+        assert json_lines(out)[0]["gram"] == gram
+    code, out, _ = run_cli(capsys, "gram", "1", "1", "2", "2")
+    assert code == 0
+    digest = "6165668073fbc6120f7db6fa41f67196acf94f82358b3c52761fe31b11dd34bb"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_gram_csv(capsys):
@@ -134,8 +162,9 @@ def test_census_empty(capsys):
 
 
 def test_census_capacity_exit_three(capsys):
-    code, _, err = run_cli(capsys, "census", "--max-rank", "11")
+    code, out, err = run_cli(capsys, "census", "--max-rank", "11")
     assert code == 3
+    assert out == ""
 
 
 def test_census_byte_stable(capsys):
@@ -194,6 +223,16 @@ def test_verify_rank_seven_bytes_pinned(capsys, claim):
     code, out, _ = run_cli(capsys, "verify", claim, "--max-rank", "7")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_RANK7_SHA256[claim]
+
+
+def test_verify_lemma4_rank_six_bytes_pinned(capsys):
+    # non-quiet lemma4 walks every vector (49,579 lines at rank 6, about
+    # 1.8 million at rank 7); recorded before the sweeps shared one loop
+    code, out, _ = run_cli(capsys, "verify", "lemma4", "--max-rank", "6")
+    assert code == 0
+    assert out.count("\n") == 49_579
+    digest = "5f32842f3b7727c5011b3be10ddb325dc4cf5c64d3d0720f30a8b6627235eaea"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # SHA-256 of `torsion <sigma>` in each format for staircases with p from
@@ -257,8 +296,16 @@ def test_verify_quiet(capsys):
 
 
 def test_verify_capacity_exit_three(capsys):
-    code, _, _ = run_cli(capsys, "verify", "lemma4", "--max-rank", "9")
+    code, out, _ = run_cli(capsys, "verify", "lemma4", "--max-rank", "9")
     assert code == 3
+    assert out == ""
+
+
+def test_verify_negative_rank_exits_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "lemma4", "--max-rank", "-1")
+    assert code == 2
+    assert out == ""
+    assert "max rank must be >= 0" in err
 
 
 def test_verify_rejects_unknown_claim(capsys):

@@ -3,10 +3,8 @@ import pytest
 from cmkit import (
     determinant,
     gram_matrix,
-    has_induced_claw,
     inner_product,
     intersection_graph,
-    is_connected,
     leading_ones,
     standard_basis,
 )
@@ -73,15 +71,15 @@ def test_claw_detection():
     path5 = intersection_graph(
         [tuple(1 if j == i else (-1 if j == i + 1 else 0) for j in range(6)) for i in range(5)]
     )
-    assert not has_induced_claw(path5)
-    assert is_connected(path5)
+    assert not path5.has_induced_claw()
+    assert path5.is_connected()
 
     single = intersection_graph([(1, 0)])
-    assert not has_induced_claw(single)
-    assert is_connected(single)
+    assert not single.has_induced_claw()
+    assert single.is_connected()
 
     claw = intersection_graph(standard_basis((1, 1, 1, 1, 2)))
-    assert has_induced_claw(claw)
+    assert claw.has_induced_claw()
 
 
 def test_family_trichotomy_up_to_rank_nine():
@@ -90,8 +88,8 @@ def test_family_trichotomy_up_to_rank_nine():
             sig = family(k, n + 1 - k)
             graph = intersection_graph(standard_basis(sig))
             assert leading_ones(sig) == k
-            assert has_induced_claw(graph) == (k >= 4)
-            assert is_connected(graph) == (k != 2)
+            assert graph.has_induced_claw() == (k >= 4)
+            assert graph.is_connected() == (k != 2)
 
 
 def test_linear_families_give_paths():
@@ -101,8 +99,8 @@ def test_linear_families_give_paths():
             if k > n:
                 continue
             graph = intersection_graph(standard_basis(family(k, n + 1 - k)))
-            assert is_connected(graph)
-            assert not has_induced_claw(graph)
+            assert graph.is_connected()
+            assert not graph.has_induced_claw()
             degrees = sorted(len(graph.adjacency[v]) for v in range(len(graph)))
             if len(graph) >= 2:
                 assert degrees[-1] <= 2
