@@ -9,6 +9,7 @@ from typing import Callable, Iterator
 
 from .changemaker import (
     ChangemakerVector,
+    as_changemaker,
     count_completions,
     iter_changemakers,
     iter_changemakers_with_sums,
@@ -77,18 +78,23 @@ class CensusRecord:
         }
 
 
-def _torus_ladder(g: int) -> tuple[int, ...]:
-    return tuple(range(g, 0, -1))
+def _exponents(staircase) -> tuple[int, ...] | None:
+    """The exponents a staircase inverts to, or None when it inverts to none."""
+    try:
+        return exponents_from_torsion(TorsionSequence(staircase)).exponents
+    except ValueError:
+        return None
 
 
-def _theorem1_conclusions(cm: ChangemakerVector, g: int, exponents, linear) -> bool:
-    if exponents is None or tuple(exponents) != _torus_ladder(g):
-        return False
-    if cm.p == 4 * g + 1:
-        return gerstein_isomorphic(linear[0], linear[1], 4 * g + 1, g)
-    if cm.p == 4 * g + 3:
-        return gerstein_isomorphic(linear[0], linear[1], 4 * g + 3, 3 * g + 2)
-    return False
+def _theorem1_conclusions(cm, g: int, exponents, linear) -> tuple[bool, bool, bool]:
+    """(torus match, p test, verdict) of theorem 1's conclusions for a chain
+    complement linear = (p, q): the exponents are the ladder (g, ..., 1),
+    p is 4g + 1 or 4g + 3, and the verdict adds that (p, q) is
+    Gerstein-equivalent to (4g + 1, g) or (4g + 3, 3g + 2) respectively."""
+    torus_ok = exponents == tuple(range(g, 0, -1))
+    p_ok = cm.p in (4 * g + 1, 4 * g + 3)
+    q = g if cm.p == 4 * g + 1 else 3 * g + 2
+    return torus_ok, p_ok, torus_ok and p_ok and gerstein_isomorphic(*linear, cm.p, q)
 
 
 def _tail_of_2s(cm: ChangemakerVector):
@@ -109,14 +115,11 @@ def _tail_of_2s(cm: ChangemakerVector):
 
 def build_record(sigma) -> CensusRecord:
     """Evaluate every census column for one changemaker."""
-    cm = sigma if isinstance(sigma, ChangemakerVector) else ChangemakerVector(tuple(sigma))
+    cm = as_changemaker(sigma)
     sig = cm.sigma
     g = genus_from_changemaker(cm)
     torsion = torsion_staircase(cm)
-    try:
-        exponents = exponents_from_torsion(TorsionSequence(torsion)).exponents
-    except ValueError:
-        exponents = None
+    exponents = _exponents(torsion)
 
     k: int | None = None
     linear: tuple[int, int] | None = None
@@ -140,7 +143,7 @@ def build_record(sigma) -> CensusRecord:
     applicable = g >= 3 and torsion[g - 2] == 1 and torsion[g - 3] >= 2
     verified: bool | None = None
     if applicable and linear is not None:
-        verified = _theorem1_conclusions(cm, g, exponents, linear)
+        verified = _theorem1_conclusions(cm, g, exponents, linear)[2]
     return CensusRecord(
         sigma=sig,
         p=cm.p,
@@ -155,25 +158,21 @@ def build_record(sigma) -> CensusRecord:
     )
 
 
-def check_rank_cap(max_rank: int, cap: int = VERIFY_MAX_RANK, what: str = "verification") -> None:
-    """Refuse a max rank below 0 (ValueError) or past cap (CapacityError),
-    before any work or output starts."""
+def check_rank_cap(max_rank: int, cap: int | None = None, what: str = "verification") -> None:
+    """Refuse a max rank below 0 (ValueError) or past cap, by default
+    VERIFY_MAX_RANK (CapacityError), before any work or output starts."""
+    cap = VERIFY_MAX_RANK if cap is None else cap
     if max_rank < 0:
         raise ValueError("max rank must be >= 0")
     if max_rank > cap:
         raise CapacityError(f"{what} capped at rank {cap}, got {max_rank}")
 
 
-def run_census(
-    max_rank: int,
-    *,
-    sigma_n: int | None = None,
-    cap: int = CENSUS_MAX_RANK,
-) -> Iterator[CensusRecord]:
+def run_census(max_rank: int, *, sigma_n: int | None = None) -> Iterator[CensusRecord]:
     """Records for every sigma_0 = 1 changemaker of rank 1..max_rank, in
     rank order and lexicographic within each rank.  Validates eagerly and
     returns a generator."""
-    check_rank_cap(max_rank, cap, "census")
+    check_rank_cap(max_rank, CENSUS_MAX_RANK, "census")
 
     def stream() -> Iterator[CensusRecord]:
         for rank in range(1, max_rank + 1):
@@ -278,8 +277,10 @@ def _lemma4_ok(sig: tuple[int, ...], total: int, sumsq: int) -> bool:
     even for every changemaker, so the identity p + pairing == 2g - 6 that
     certifies t_{g-3} <= 1 holds by algebra and is not re-tested here.
     _lemma4_instance recomputes the real pairing from the library witness
-    on the deep path.  total and sumsq are kept in the signature for
-    callers that pass the enumeration's running sums.
+    on the deep path.  total and sumsq are unused; they stay in the
+    signature because bench/tracing.py wraps this function with a
+    three-argument wrapper and its drain replays the sampled
+    (sigma, total, sumsq) triples.
 
     The loop reads sigma_0..sigma_t only, so a prefix ending at its first
     entry >= 3 gets the same answer as every one of its completions.
@@ -297,11 +298,7 @@ def _lemma4_ok(sig: tuple[int, ...], total: int, sumsq: int) -> bool:
     return not rem
 
 
-def _every_vector(rank: int, settle) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    return iter_changemakers_with_sums(rank)
-
-
-def _lemma4_walk(rank: int, settle) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def _lemma4_walk(rank: int, settle) -> Iterator[tuple[int, ...]]:
     """Quiet lemma4: every vector at or below DEEP_CHECK_MAX_RANK.  Above
     it the walk stops at each vector's first entry >= 3.  The prefix
     sigma_0..sigma_t is itself a sigma_0 = 1 changemaker and _lemma4_ok
@@ -312,7 +309,7 @@ def _lemma4_walk(rank: int, settle) -> Iterator[tuple[tuple[int, ...], int, int]
     whose entries are all <= 2 are not instances and are skipped.
     """
     if rank <= DEEP_CHECK_MAX_RANK:
-        yield from iter_changemakers_with_sums(rank)
+        yield from iter_changemakers(rank)
         return
     memo: dict = {}
     for prefix, total, sumsq in iter_changemakers_with_sums(rank, stop_at=3):
@@ -346,13 +343,12 @@ def _check_lemma5(sig: tuple[int, ...]) -> dict:
     }
 
 
-def _lemma5_walk(rank: int, settle) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def _lemma5_walk(rank: int, settle) -> Iterator[tuple[int, ...]]:
     """The changemakers of one rank that end in 2.  A nondecreasing
     changemaker with sigma_0 = 1 ends in 2 iff it is (1^k, 2^m) with
     k, m >= 1; k falling from rank to 1 is lexicographic order."""
     for k in range(rank, 0, -1):
-        m = rank + 1 - k
-        yield (1,) * k + (2,) * m, k + 2 * m, k + 4 * m
+        yield (1,) * k + (2,) * (rank + 1 - k)
 
 
 def _check_theorem1(sig: tuple[int, ...]) -> dict | None:
@@ -378,27 +374,21 @@ def _check_theorem1(sig: tuple[int, ...]) -> dict | None:
         # no linear complement: the statement says nothing about this sigma
         info.update({"vacuous": True, "ok": True})
         return info
-    staircase = torsion_staircase(cm)
-    try:
-        exponents = exponents_from_torsion(TorsionSequence(staircase)).exponents
-    except ValueError:
-        exponents = None
-    torus_ok = exponents == _torus_ladder(g)
-    p_ok = cm.p in (4 * g + 1, 4 * g + 3)
-    gerstein_ok = _theorem1_conclusions(cm, g, exponents, linear)
+    exponents = _exponents(torsion_staircase(cm))
+    torus_ok, p_ok, ok = _theorem1_conclusions(cm, g, exponents, linear)
     info.update(
         {
             "exponents": list(exponents) if exponents is not None else None,
             "torus_match": torus_ok,
             "p_ok": p_ok,
-            "gerstein_ok": gerstein_ok,
-            "ok": torus_ok and p_ok and gerstein_ok,
+            "gerstein_ok": ok,  # the record has always carried the verdict here
+            "ok": ok,
         }
     )
     return info
 
 
-def _theorem1_walk(rank: int, settle) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def _theorem1_walk(rank: int, settle) -> Iterator[tuple[int, ...]]:
     """Every vector at or below DEEP_CHECK_MAX_RANK.  Above it, as in
     _lemma4_walk, a prefix that passes _lemma4_ok stands for its block,
     which is skipped: the validated witness certifies t_{g-3} <= 1 for
@@ -407,21 +397,21 @@ def _theorem1_walk(rank: int, settle) -> Iterator[tuple[tuple[int, ...], int, in
     entries are all <= 2 are yielded in order, for the honest staircase
     filter of _check_theorem1."""
     if rank <= DEEP_CHECK_MAX_RANK:
-        yield from iter_changemakers_with_sums(rank)
+        yield from iter_changemakers(rank)
         return
     for prefix, total, sumsq in iter_changemakers_with_sums(rank, stop_at=3):
         if prefix[-1] < 3:
-            yield prefix, total, sumsq
+            yield prefix
         elif not _lemma4_ok(prefix, total, sumsq):
-            yield from iter_changemakers_with_sums(rank, prefix=prefix)
+            yield from (sig for sig, _, _ in iter_changemakers_with_sums(rank, prefix=prefix))
 
 
 def _run_sweep(claim: str, max_rank: int, walk, check, emit) -> VerificationResult:
     """The sweep loop of every claim.
 
-    For each rank, walk(rank, settle) yields (sigma, sum, sum of squares)
-    in lexicographic order, and check(sigma, sum, sum of squares) returns
-    the instance record, or None when sigma is not an instance; a record
+    For each rank, walk(rank, settle) yields vectors sigma in
+    lexicographic order, and check(sigma) returns the instance record, or
+    None when sigma is not an instance; a record
     whose "ok" is false is a counterexample.  A walk that decides a block
     of vectors at once reports it as settle(count, failures): count
     instances, of which the records in failures, in order, are the
@@ -436,8 +426,8 @@ def _run_sweep(claim: str, max_rank: int, walk, check, emit) -> VerificationResu
         bad.extend(failures)
 
     for rank in range(1, max_rank + 1):
-        for sig, total, sumsq in walk(rank, settle):
-            info = check(sig, total, sumsq)
+        for sig in walk(rank, settle):
+            info = check(sig)
             if info is None:
                 continue
             instances += 1
@@ -452,7 +442,6 @@ def verify_claim(
     claim: str,
     max_rank: int,
     *,
-    cap: int = VERIFY_MAX_RANK,
     emit: Callable[[dict], None] | None = None,
 ) -> VerificationResult:
     """Run one sweep over all ranks 1..max_rank.
@@ -463,21 +452,15 @@ def verify_claim(
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
-    check_rank_cap(max_rank, cap)
+    check_rank_cap(max_rank)
     # lemma4's prefix walk settles blocks without per-vector records, so a
-    # sweep that emits them walks every vector; theorem1 spares genus < 3
-    # the call, read off the running sums as (sumsq - total) / 2
+    # sweep that emits them walks every vector
     walk, check = {
         "lemma4": (
-            _lemma4_walk if emit is None else _every_vector,
-            lambda sig, total, sumsq: _lemma4_instance(sig) if sig[-1] >= 3 else None,
+            _lemma4_walk if emit is None else lambda rank, settle: iter_changemakers(rank),
+            lambda sig: _lemma4_instance(sig) if sig[-1] >= 3 else None,
         ),
-        "lemma5": (_lemma5_walk, lambda sig, total, sumsq: _check_lemma5(sig)),
-        "theorem1": (
-            _theorem1_walk,
-            lambda sig, total, sumsq: (
-                _check_theorem1(sig) if (sumsq - total) // 2 >= 3 else None
-            ),
-        ),
+        "lemma5": (_lemma5_walk, _check_lemma5),
+        "theorem1": (_theorem1_walk, _check_theorem1),
     }[claim]
     return _run_sweep(claim, max_rank, walk, check, emit)

@@ -10,6 +10,7 @@ subset sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .errors import CapacityError
@@ -57,7 +58,12 @@ def coordinate_free_check(sigma) -> bool:
 
 @dataclass(frozen=True)
 class ChangemakerVector:
-    """A validated changemaker together with its derived quantities."""
+    """A validated changemaker together with its derived quantities.
+
+    p and one_norm are summed once per vector and kept in the instance
+    dict, outside the dataclass fields, so equality, hash and repr still
+    read sigma alone.
+    """
 
     sigma: tuple[int, ...]
 
@@ -71,12 +77,12 @@ class ChangemakerVector:
         """n, for sigma living in -Z^(n+1)."""
         return len(self.sigma) - 1
 
-    @property
+    @cached_property
     def p(self) -> int:
         """|<sigma, sigma>|, the sum of squared entries."""
         return sum(x * x for x in self.sigma)
 
-    @property
+    @cached_property
     def one_norm(self) -> int:
         return sum(self.sigma)
 
@@ -110,7 +116,7 @@ class CharacteristicVector:
         if any(x % 2 == 0 for x in self.coords):
             raise ValueError("all coordinates must be odd")
 
-    @property
+    @cached_property
     def level(self) -> int:
         # odd squares are 1 mod 8, so the division is exact
         return (sum(x * x for x in self.coords) - len(self.coords)) // 8
@@ -138,18 +144,13 @@ def subset_representation(sigma, target: int) -> tuple[int, ...]:
     return tuple(reversed(picked))
 
 
-def iter_changemakers(
-    rank: int,
-    *,
-    max_entry: int | None = None,
-    cap: int = ENUMERATION_MAX_RANK,
-) -> Iterator[tuple[int, ...]]:
+def iter_changemakers(rank: int, *, max_entry: int | None = None) -> Iterator[tuple[int, ...]]:
     """Changemakers with sigma_0 = 1 in -Z^(rank+1), lexicographic order.
 
     max_entry caps each entry below the defining ceiling; by default the
     ceiling itself (1 + the running sum) is the only bound.
     """
-    return (sig for sig, _, _ in iter_changemakers_with_sums(rank, cap, max_entry=max_entry))
+    return (sig for sig, _, _ in iter_changemakers_with_sums(rank, max_entry=max_entry))
 
 
 def enumerate_changemakers(
@@ -157,11 +158,10 @@ def enumerate_changemakers(
     predicate: Callable[[tuple[int, ...]], bool] | None = None,
     *,
     max_entry: int | None = None,
-    cap: int = ENUMERATION_MAX_RANK,
 ) -> list[ChangemakerVector]:
     """Materialized, optionally filtered census at a single rank."""
     out = []
-    for sig in iter_changemakers(rank, max_entry=max_entry, cap=cap):
+    for sig in iter_changemakers(rank, max_entry=max_entry):
         if predicate is None or predicate(sig):
             out.append(ChangemakerVector(sig))
     return out
@@ -169,7 +169,6 @@ def enumerate_changemakers(
 
 def iter_changemakers_with_sums(
     rank: int,
-    cap: int = ENUMERATION_MAX_RANK,
     *,
     prefix: tuple[int, ...] = (1,),
     stop_at: int | None = None,
@@ -178,9 +177,9 @@ def iter_changemakers_with_sums(
     """(sigma, sum, sum of squares) for the changemakers with sigma_0 = 1
     in -Z^(rank+1), in lexicographic order: the one enumeration walk.
 
-    The running sums come for free from the enumeration tree; the large
-    verification sweeps lean on this to avoid re-summing millions of
-    vectors.  max_entry caps each entry as in iter_changemakers.
+    The running sums come for free from the enumeration tree; the prefix
+    walks of the verification sweeps read the prefix total off them for
+    count_completions.  max_entry caps each entry as in iter_changemakers.
 
     prefix restricts the walk to the completions of a sigma_0 = 1
     changemaker of length at most rank + 1.  With stop_at, a vector is cut
@@ -190,8 +189,8 @@ def iter_changemakers_with_sums(
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if rank > cap:
-        raise CapacityError(f"enumeration capped at rank {cap}, got {rank}")
+    if rank > ENUMERATION_MAX_RANK:
+        raise CapacityError(f"enumeration capped at rank {ENUMERATION_MAX_RANK}, got {rank}")
     prefix = tuple(prefix)
     if len(prefix) > rank + 1 or prefix[:1] != (1,) or not is_changemaker(prefix):
         raise ValueError(f"not a sigma_0 = 1 changemaker prefix of rank {rank}: {prefix}")

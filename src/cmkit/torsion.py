@@ -20,10 +20,9 @@ table.  It is symmetric under r -> -r, so it runs only the positive
 shifts of each coordinate and closes it with one mirror step.  Costs are
 int32 with the sentinel 2^30; a staircase whose cost cap n+1 + 8p, or
 the square of the largest coordinate bound it could need, does not fit
-below the sentinel, or whose p is past the measured capacity
-STAIRCASE_MAX_P, is refused with CapacityError before any table is
-built.  Both paths are exact and the test suite plays them against each
-other.
+below the sentinel, or whose p or first-pass work is past its measured
+capacity, is refused with CapacityError before any table is built.
+Both paths are exact and the test suite plays them against each other.
 """
 
 from __future__ import annotations
@@ -31,10 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .changemaker import (
+    ChangemakerVector,
     CharacteristicVector,
     as_changemaker,
     subset_representation,
@@ -45,11 +46,16 @@ _INF = 1 << 30
 #: Largest p a staircase is built for.  Measured on a 2-CPU machine:
 #: (1, 2, 4, ..., 512, 908, 908), p = 1,998,453, takes about 20 s and
 #: 110 MB; (1, 2, 4, ..., 2048), p = 5,592,405, took about 90 s and 250 MB.
-#: The time grows with the rank too (a rank-30 sigma with p = 1,977,382
-#: took 129 s), so the cap bounds p, not the time.
+#: This cap bounds the memory; _STAIRCASE_MAX_WORK bounds the time.
 #: Below it the int32 limit checked next to it is out of reach (n+1 <= p,
 #: so the cost cap n+1 + 8p is at most 9p < 2^30).
 STAIRCASE_MAX_P = 2_000_000
+#: Largest first-pass DP work (cell updates, see _staircase_cached) a
+#: staircase is built for.  Same machine, start-up included, 0.9-1.5 ns a
+#: cell: (1, 2, 4, ..., 1024) 7.5e9 cells, 7.8 s; (1, 2, 4, ..., 512, 908,
+#: 908) 1.6e10, 20 s; (1, 1, 2, 4, ..., 256, 300^12) 2.4e10, 27 s; and
+#: (1, 1, 2, 4, ..., 256, 300^21) 8.6e10, 129 s, which this cap refuses.
+_STAIRCASE_MAX_WORK = 30_000_000_000
 
 
 @dataclass(frozen=True)
@@ -432,10 +438,8 @@ def _start_bound(g: int, n1: int) -> int:
 
 
 @lru_cache(maxsize=512)
-def _staircase_cached(sig: tuple[int, ...]) -> tuple[int, ...]:
-    p = sum(x * x for x in sig)
-    one = sum(sig)
-    g = (p - one) // 2
+def _staircase_cached(cm: ChangemakerVector) -> tuple[int, ...]:
+    sig, p, g = cm.sigma, cm.p, genus_from_changemaker(cm)
     n1 = len(sig)
     modulus = 2 * p
     cost_cap = n1 + 8 * p  # level safety cap: k <= p
@@ -449,8 +453,18 @@ def _staircase_cached(sig: tuple[int, ...]) -> tuple[int, ...]:
         )
     if p > STAIRCASE_MAX_P:
         raise CapacityError(f"p = {p} is past the staircase capacity p <= {STAIRCASE_MAX_P}")
-    needed = (p - 2 * np.arange(g + 1)) % modulus
     bound = _start_bound(g, n1)
+    # The cells the first _min_costs pass updates, once per odd a <= bound:
+    # after coordinate j its table holds 2 * bound * (sigma_0 + ... +
+    # sigma_j) + 1 integer sums, until that would pass the modulus and it
+    # holds the modulus residues.
+    work = (bound + 1) // 2 * sum(min(2 * bound * s + 1, modulus) for s in accumulate(sig))
+    if work > _STAIRCASE_MAX_WORK:
+        raise CapacityError(
+            f"the staircase of p = {p} at rank {n1 - 1} needs about {work} DP cell "
+            f"updates, past the staircase work capacity {_STAIRCASE_MAX_WORK}"
+        )
+    needed = (p - 2 * np.arange(g + 1)) % modulus
     while True:
         costs = _min_costs(sig, modulus, bound)
         picked = costs[needed]
@@ -483,7 +497,7 @@ def torsion_staircase(sigma) -> tuple[int, ...]:
     cm = as_changemaker(sigma)
     if cm.sigma[0] != 1:
         raise ValueError("staircase needs sigma_0 = 1")
-    return _staircase_cached(cm.sigma)
+    return _staircase_cached(cm)
 
 
 def torsion_from_changemaker(sigma, i: int) -> int:
@@ -494,7 +508,7 @@ def torsion_from_changemaker(sigma, i: int) -> int:
     if i > g:
         # beyond the genus the subset-sum property supplies a level-0 vector
         return 0
-    return _staircase_cached(cm.sigma)[i]
+    return _staircase_cached(cm)[i]
 
 
 def lemma4_witness(sigma) -> CharacteristicVector:

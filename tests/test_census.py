@@ -1,6 +1,7 @@
 import pytest
 
 import cmkit.census as census
+import cmkit.changemaker
 from cmkit import (
     CapacityError,
     build_record,
@@ -19,6 +20,7 @@ from cmkit.census import (
     _lemma4_ok,
 )
 from cmkit.changemaker import iter_changemakers, iter_changemakers_with_sums
+from cmkit.cli import main
 
 
 def test_build_record_family_one():
@@ -118,6 +120,21 @@ def test_run_census_capacity_and_domain():
     assert list(run_census(0)) == []
 
 
+def test_rank_caps_are_read_at_call_time(monkeypatch, capsys):
+    monkeypatch.setattr(census, "VERIFY_MAX_RANK", 3)
+    monkeypatch.setattr(census, "CENSUS_MAX_RANK", 2)
+    monkeypatch.setattr(cmkit.changemaker, "ENUMERATION_MAX_RANK", 2)
+    with pytest.raises(CapacityError):
+        verify_claim("lemma5", 4)
+    assert main(["verify", "lemma5", "--max-rank", "4"]) == 3
+    assert capsys.readouterr().out == ""
+    with pytest.raises(CapacityError):
+        run_census(3)
+    with pytest.raises(CapacityError):
+        list(iter_changemakers(3))
+    assert verify_claim("lemma5", 3).holds
+
+
 def test_verify_small_ranks_hold():
     for claim in ("lemma4", "lemma5", "theorem1"):
         result = verify_claim(claim, 4)
@@ -146,10 +163,7 @@ def test_verify_lemma5_instances_are_tail_two():
 def test_lemma5_walk_writes_every_tail_of_2s_vector():
     for rank in range(1, 7):
         walked = list(census._lemma5_walk(rank, None))
-        assert [sig for sig, _, _ in walked] == [
-            sig for sig in iter_changemakers(rank) if sig[-1] == 2
-        ]
-        assert all(t == sum(s) and q == sum(x * x for x in s) for s, t, q in walked)
+        assert walked == [sig for sig in iter_changemakers(rank) if sig[-1] == 2]
 
 
 def test_verify_theorem1_instances():
@@ -198,8 +212,10 @@ def test_verify_emit_and_quiet_agree():
 def _per_vector_sweeps(rank):
     """Per-vector oracle for one rank of the quiet lemma4 sweep and the
     theorem1 sweep above the deep rank: every vector of the full
-    enumeration, one witness check each.  Looks _lemma4_ok and
-    _check_theorem1 up at call time so that monkeypatches apply."""
+    enumeration, one witness check each, and every vector the witness does
+    not settle, genus < 3 included, sent to _check_theorem1.  Looks
+    _lemma4_ok and _check_theorem1 up at call time so that monkeypatches
+    apply."""
     lemma4_instances, lemma4_bad, theorem1_calls = 0, [], []
     for sig, total, sumsq in iter_changemakers_with_sums(rank):
         ok = sig[-1] >= 3 and census._lemma4_ok(sig, total, sumsq)
@@ -207,7 +223,7 @@ def _per_vector_sweeps(rank):
             lemma4_instances += 1
             if not ok:
                 lemma4_bad.append(_lemma4_instance(sig))
-        if (sumsq - total) // 2 >= 3 and not ok:
+        if not ok:
             theorem1_calls.append(sig)
     return lemma4_instances, lemma4_bad, theorem1_calls
 
@@ -282,5 +298,7 @@ def test_failed_prefix_is_walked_vector_by_vector(monkeypatch):
 
     theorem1 = verify_claim("theorem1", max_rank)
     assert calls == expected_calls
+    low_genus = [sig for sig in calls if (sum(v * v for v in sig) - sum(sig)) // 2 < 3]
+    assert low_genus and all(check(sig) is None for sig in low_genus)
     assert [sig for sig in calls if sig[:3] == REJECTED_PREFIX] == completions
     assert theorem1.instances == len(_theorem1_instances(expected_calls))

@@ -15,6 +15,7 @@ from cmkit import (
     subset_representation,
 )
 from cmkit.changemaker import count_completions, iter_changemakers_with_sums
+from cmkit.torsion import genus_from_changemaker
 
 from oracle_utils import signed_sums
 
@@ -162,6 +163,32 @@ def test_changemaker_vector_properties():
     assert cm.rank == 2
     with pytest.raises(ValueError):
         ChangemakerVector((1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cached_facts_match_fresh_and_running_sums(data):
+    sig = [1]
+    for _ in range(data.draw(st.integers(1, 8))):
+        sig.append(data.draw(st.integers(sig[-1], sum(sig) + 1)))
+    sig = tuple(sig)
+    cm = ChangemakerVector(sig)
+    facts = (cm.p, cm.one_norm, genus_from_changemaker(cm))
+    total, sumsq = sum(sig), sum(v * v for v in sig)
+    assert facts == (sumsq, total, (sumsq - total) // 2)
+    ((walked, run_total, run_sumsq),) = iter_changemakers_with_sums(len(sig) - 1, prefix=sig)
+    assert (walked, run_total, run_sumsq) == (sig, total, sumsq)
+    assert (cm.p, cm.one_norm) == (sumsq, total)  # read again, from the cache
+    fresh = ChangemakerVector(sig)
+    assert cm == fresh and hash(cm) == hash(fresh) and repr(cm) == repr(fresh)
+
+    coords = data.draw(st.lists(st.integers(-9, 9).map(lambda x: 2 * x + 1), min_size=1))
+    cv = CharacteristicVector(coords)
+    squares = sum(c * c for c in coords)
+    assert (squares - len(coords)) % 8 == 0
+    assert cv.level == cv.level == (squares - len(coords)) // 8
+    fresh = CharacteristicVector(coords)
+    assert cv == fresh and hash(cv) == hash(fresh) and repr(cv) == repr(fresh)
 
 
 def test_characteristic_vector_level():

@@ -96,6 +96,20 @@ def test_torsion_past_p_capacity_exits_three(capsys, monkeypatch):
     assert "staircase capacity" in err
 
 
+def test_torsion_past_work_capacity_exits_three(capsys, monkeypatch):
+    # rank 30, inside STAIRCASE_MAX_P: its DP took 129 s, and the work
+    # estimate refuses it before any residue table exists
+    monkeypatch.setattr(
+        cmkit.torsion, "_min_costs", lambda *args: pytest.fail("DP ran past the capacity")
+    )
+    sigma = (1, 1, *(2**k for k in range(1, 9)), *(300,) * 21)
+    assert sum(v * v for v in sigma) == 1_977_382 < cmkit.torsion.STAIRCASE_MAX_P
+    code, out, err = run_cli(capsys, "torsion", *map(str, sigma))
+    assert code == 3
+    assert out == ""
+    assert "work capacity" in err
+
+
 def test_gram_linear(capsys):
     code, out, _ = run_cli(capsys, "gram", "--linear", "9", "2")
     (obj,) = json_lines(out)

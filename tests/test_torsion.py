@@ -261,6 +261,26 @@ def test_bound_regrowth_from_bound_one(monkeypatch):
     assert all(flags[-1] for flags in reached.values())
 
 
+class _ReachedDP(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        (*(2**k for k in range(10)), 908, 908),  # p = 1,998,453: about 20 s
+        (1, 1, *(2**k for k in range(1, 9)), *(300,) * 12),  # rank 21: about 27 s
+    ],
+)
+def test_measured_staircases_pass_the_capacity_checks(monkeypatch, sigma):
+    def reached(*args):
+        raise _ReachedDP
+
+    monkeypatch.setattr(torsion, "_min_costs", reached)
+    with pytest.raises(_ReachedDP):
+        torsion_staircase(sigma)
+
+
 def test_scan_agrees_with_dp_on_small_changemakers():
     small = [sig for rank in (1, 2, 3) for sig in iter_changemakers(rank)]
     rank4 = random.Random(4).sample(list(iter_changemakers(4)), 48)
