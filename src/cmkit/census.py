@@ -237,8 +237,9 @@ class VerificationResult:
 
 
 def _lemma4_instance(sig: tuple[int, ...]) -> dict:
-    """Full instance record: witness via the library path plus the
-    independent ascending-scan check of t_{g-3} <= 1."""
+    """Full instance record, the one place the witness is checked: its
+    level, its pairing with sigma recomputed through inner_product, and
+    t_{g-3} <= 1 decided by torsion_at_most on subset-sum bitsets."""
     cm = ChangemakerVector(sig)
     g = genus_from_changemaker(cm)
     witness = lemma4_witness(cm)
@@ -260,7 +261,7 @@ def _lemma4_instance(sig: tuple[int, ...]) -> dict:
 
 
 #: Through this rank the sweeps run the full object-level checks, vector
-#: by vector, with the independent ascending torsion scan.  Above it
+#: by vector, with the independent bitset torsion check.  Above it
 #: lemma4 (quiet) and theorem1 walk prefixes instead (see _lemma4_walk and
 #: _theorem1_walk): one witness check per prefix settles the whole block
 #: of its completions.
@@ -357,9 +358,8 @@ def _check_theorem1(sig: tuple[int, ...]) -> dict | None:
     if g < 3:
         return None
     # Hypothesis filter on the staircase: t_{g-2} = 1 and t_{g-3} >= 2.
-    if torsion_at_most(cm, g - 3, 1):
-        return None
-    if torsion_at_most(cm, g - 2, 0) or not torsion_at_most(cm, g - 2, 1):
+    # t_{g-2} > 0: p - 2(g-2) = |sigma|_1 + 4 is no +-1 sum mod 2p, as 2p > 2|sigma|_1 + 4
+    if torsion_at_most(cm, g - 3, 1) or not torsion_at_most(cm, g - 2, 1):
         return None
     linear = recognize_linear(gram_matrix(orthogonal_basis(sig)), max_rank=cm.rank)
     info = {

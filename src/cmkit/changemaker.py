@@ -9,8 +9,7 @@ subset sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .errors import CapacityError
@@ -60,31 +59,27 @@ def coordinate_free_check(sigma) -> bool:
 class ChangemakerVector:
     """A validated changemaker together with its derived quantities.
 
-    p and one_norm are summed once per vector and kept in the instance
-    dict, outside the dataclass fields, so equality, hash and repr still
-    read sigma alone.
+    p = |<sigma, sigma>|, the sum of squared entries, and one_norm, the sum
+    of the entries, are set when sigma is validated; they take no part in
+    equality, hash or repr, which read sigma alone.
     """
 
     sigma: tuple[int, ...]
+    p: int = field(init=False, repr=False, compare=False)
+    one_norm: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(int(x) for x in self.sigma))
-        if not is_changemaker(self.sigma):
-            raise ValueError(f"not a changemaker: {list(self.sigma)}")
+        sig = tuple(int(x) for x in self.sigma)
+        if not is_changemaker(sig):
+            raise ValueError(f"not a changemaker: {list(sig)}")
+        object.__setattr__(self, "sigma", sig)
+        object.__setattr__(self, "p", sum(x * x for x in sig))
+        object.__setattr__(self, "one_norm", sum(sig))
 
     @property
     def rank(self) -> int:
         """n, for sigma living in -Z^(n+1)."""
         return len(self.sigma) - 1
-
-    @cached_property
-    def p(self) -> int:
-        """|<sigma, sigma>|, the sum of squared entries."""
-        return sum(x * x for x in self.sigma)
-
-    @cached_property
-    def one_norm(self) -> int:
-        return sum(self.sigma)
 
     def __iter__(self):
         return iter(self.sigma)
@@ -104,22 +99,22 @@ def as_changemaker(sigma) -> ChangemakerVector:
 
 @dataclass(frozen=True)
 class CharacteristicVector:
-    """All-odd coordinate vector; its level k satisfies
+    """All-odd coordinate vector; its level k, set when the coordinates
+    are validated and outside equality, hash and repr, satisfies
     sum of squares = (n+1) + 8k."""
 
     coords: tuple[int, ...]
+    level: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(x) for x in self.coords))
-        if not self.coords:
+        coords = tuple(int(x) for x in self.coords)
+        if not coords:
             raise ValueError("characteristic vector must be non-empty")
-        if any(x % 2 == 0 for x in self.coords):
+        if any(x % 2 == 0 for x in coords):
             raise ValueError("all coordinates must be odd")
-
-    @cached_property
-    def level(self) -> int:
+        object.__setattr__(self, "coords", coords)
         # odd squares are 1 mod 8, so the division is exact
-        return (sum(x * x for x in self.coords) - len(self.coords)) // 8
+        object.__setattr__(self, "level", (sum(x * x for x in coords) - len(coords)) // 8)
 
 
 def subset_representation(sigma, target: int) -> tuple[int, ...]:
@@ -144,24 +139,17 @@ def subset_representation(sigma, target: int) -> tuple[int, ...]:
     return tuple(reversed(picked))
 
 
-def iter_changemakers(rank: int, *, max_entry: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Changemakers with sigma_0 = 1 in -Z^(rank+1), lexicographic order.
-
-    max_entry caps each entry below the defining ceiling; by default the
-    ceiling itself (1 + the running sum) is the only bound.
-    """
-    return (sig for sig, _, _ in iter_changemakers_with_sums(rank, max_entry=max_entry))
+def iter_changemakers(rank: int) -> Iterator[tuple[int, ...]]:
+    """Changemakers with sigma_0 = 1 in -Z^(rank+1), lexicographic order."""
+    return (sig for sig, _, _ in iter_changemakers_with_sums(rank))
 
 
 def enumerate_changemakers(
-    rank: int,
-    predicate: Callable[[tuple[int, ...]], bool] | None = None,
-    *,
-    max_entry: int | None = None,
+    rank: int, predicate: Callable[[tuple[int, ...]], bool] | None = None
 ) -> list[ChangemakerVector]:
     """Materialized, optionally filtered census at a single rank."""
     out = []
-    for sig in iter_changemakers(rank, max_entry=max_entry):
+    for sig in iter_changemakers(rank):
         if predicate is None or predicate(sig):
             out.append(ChangemakerVector(sig))
     return out
@@ -172,14 +160,13 @@ def iter_changemakers_with_sums(
     *,
     prefix: tuple[int, ...] = (1,),
     stop_at: int | None = None,
-    max_entry: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(sigma, sum, sum of squares) for the changemakers with sigma_0 = 1
     in -Z^(rank+1), in lexicographic order: the one enumeration walk.
 
     The running sums come for free from the enumeration tree; the prefix
     walks of the verification sweeps read the prefix total off them for
-    count_completions.  max_entry caps each entry as in iter_changemakers.
+    count_completions.
 
     prefix restricts the walk to the completions of a sigma_0 = 1
     changemaker of length at most rank + 1.  With stop_at, a vector is cut
@@ -202,7 +189,7 @@ def iter_changemakers_with_sums(
             yield tuple(sig), total, sumsq
             return
         lo = sig[i - 1]
-        hi = total + 1 if max_entry is None else min(total + 1, max_entry)
+        hi = total + 1
         top = hi if stop_at is None else min(hi, stop_at - 1)
         for v in range(lo, top + 1):
             sig[i] = v

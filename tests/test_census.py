@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 import cmkit.census as census
 import cmkit.changemaker
+import cmkit.torsion
 from cmkit import (
     CapacityError,
     build_record,
@@ -302,3 +305,42 @@ def test_failed_prefix_is_walked_vector_by_vector(monkeypatch):
     assert low_genus and all(check(sig) is None for sig in low_genus)
     assert [sig for sig in calls if sig[:3] == REJECTED_PREFIX] == completions
     assert theorem1.instances == len(_theorem1_instances(expected_calls))
+
+
+def test_failed_witness_sub_check_is_a_counterexample_record(monkeypatch, capsys):
+    # a wrong greedy set for (1, 2, 4): index 1 pays 2, not sigma_2 - 3 = 1,
+    # so the witness (1, -1, 3) still has level 1 but misses the identity
+    representation = cmkit.torsion.subset_representation
+
+    def wrong_for_124(sigma, target):
+        return (1,) if tuple(sigma) == (1, 2, 4) else representation(sigma, target)
+
+    monkeypatch.setattr(cmkit.torsion, "subset_representation", wrong_for_124)
+    result = verify_claim("lemma4", 2)
+    assert not result.holds
+    (bad,) = result.counterexamples
+    assert bad["sigma"] == [1, 2, 4] and bad["witness"] == [1, -1, 3]
+    assert bad["level"] == 1 and bad["identity_ok"] is False and bad["ok"] is False
+
+    assert main(["verify", "lemma4", "--max-rank", "2", "--quiet"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    verdict = json.loads(lines[-1])
+    assert verdict["kind"] == "verdict" and verdict["holds"] is False
+    assert verdict["counterexamples"] == [bad]
+
+
+def test_census_and_sweeps_agree_on_their_instances():
+    # the census decides theorem1's hypothesis on the DP staircase, the
+    # sweep on subset-sum bitsets; lemma5's walk writes its vectors down
+    max_rank = 5
+    records = list(run_census(max_rank))
+    theorem1, lemma5 = [], []
+    verify_claim("theorem1", max_rank, emit=theorem1.append)
+    verify_claim("lemma5", max_rank, emit=lemma5.append)
+    assert [rec.sigma for rec in records if rec.theorem1_applicable] == [
+        tuple(info["sigma"]) for info in theorem1
+    ]
+    assert [rec.sigma for rec in records if rec.sigma[-1] == 2] == [
+        tuple(info["sigma"]) for info in lemma5
+    ]
+    assert len(theorem1) == 6 and len(lemma5) == 15
