@@ -2,12 +2,17 @@
 
 Vectors are tuples of integers giving coordinates over an orthonormal
 basis e_0, ..., e_n with <e_i, e_j> = -1 if i == j and 0 otherwise.
-Everything is exact: Python integers and Fractions only, never floats.
+Everything is exact, never floats: a Gram matrix is factored over
+Fractions once, and the short-vector descent on that factor runs on
+integers alone.  The isometry search places, at every step, the column
+with the fewest candidates left (Plesken-Souvignier; Fincke-Pohst bounds).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 
 from .errors import CapacityError
@@ -17,6 +22,11 @@ Gram = tuple[tuple[int, ...], ...]
 
 #: Default rank ceiling for the exhaustive isometry search.
 ISOMETRY_MAX_RANK = 5
+#: Partial bases (search nodes) one is_isometric call may visit before it
+#: raises CapacityError; read at call time.  A node costs about 86 us on
+#: a 2-CPU Intel Xeon (Python 3.11), so the budget is about 26 s there;
+#: the most nodes seen on a chain pair of rank <= 8 is 8,010.
+_ISOMETRY_NODE_BUDGET = 300_000
 
 
 def _as_vector(v) -> Vector:
@@ -147,11 +157,6 @@ def complement_basis(sigma) -> list[Vector]:
     return kernel
 
 
-def _frac_sqrt_upper(t: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(t), t >= 0."""
-    return Fraction(math.isqrt(t.numerator * t.denominator) + 1, t.denominator)
-
-
 def _ldl(a: list[list[int]]):
     """A = L D L^T for positive definite A; unit lower L over Fractions."""
     n = len(a)
@@ -173,40 +178,101 @@ def _ldl(a: list[list[int]]):
     return L, d
 
 
+class _Factor:
+    """The integer descent data of one negative definite Gram matrix g.
+
+    With -g = L D L^T (L unit lower triangular, over Fractions) the form
+    Q(x) = x^T (-g) x equals sum_j d_j (x_j + sum_{i>j} L[i][j] x_i)^2.
+    Column j is scaled by M_j, the lcm of the denominators of its entries
+    below the diagonal, so that t_j = M_j x_j + N_j with
+    N_j = sum_{i>j} (M_j L[i][j]) x_i is an integer; one K then makes
+    every weight w_j = K d_j / M_j^2 an integer, and K Q(x) = sum_j w_j t_j^2.
+    The Fractions are used here, once per Gram matrix; the descent below
+    runs on integers alone.
+    """
+
+    __slots__ = ("scales", "weights", "columns", "multiplier")
+
+    def __init__(self, g: Gram):
+        n = len(g)
+        L, d = _ldl([[-x for x in row] for row in g])
+        scales = [
+            math.lcm(*(L[i][j].denominator for i in range(j + 1, n))) for j in range(n)
+        ]
+        # K * num / (den * M^2) is an integer iff den * M^2 / gcd(num, M^2)
+        # divides K (num and den are coprime); K is the lcm of those.
+        multiplier = math.lcm(
+            *(dj.denominator * m * m // math.gcd(dj.numerator, m * m) for dj, m in zip(d, scales))
+        )
+        self.scales = scales
+        self.weights = [
+            multiplier * dj.numerator // (dj.denominator * m * m) for dj, m in zip(d, scales)
+        ]
+        self.columns = [
+            [(i, int(L[i][j] * scales[j])) for i in range(j + 1, n) if L[i][j]]
+            for j in range(n)
+        ]
+        self.multiplier = multiplier
+
+    def walk(self, norm: int, out: list[Vector] | None) -> int:
+        """Count the x with Q(x) = norm, appending each to out unless out
+        is None; x_{n-1} varies slowest and every coordinate ascends.
+
+        Exactness: at coordinate j the budget rem = K norm - sum_{i>j} w_i t_i^2
+        is an integer, and x_j = v is admissible iff w_j t^2 <= rem for
+        t = M_j v + N_j.  For integers w > 0 and t, w t^2 <= rem holds iff
+        t^2 <= rem // w, i.e. iff |t| <= isqrt(rem // w) = b.  So the range
+        ceil((-b - N_j) / M_j) <= v <= floor((b - N_j) / M_j) holds exactly
+        the admissible v, in ascending order, and at coordinate 0 the budget
+        must be spent exactly: w_0 t^2 = rem.
+        """
+        if norm <= 0:
+            raise ValueError("norm must be a positive integer")
+        scales, weights, columns = self.scales, self.weights, self.columns
+        x = [0] * len(scales)
+        found = 0
+
+        def descend(j: int, rem: int) -> None:
+            nonlocal found
+            shift = 0
+            for i, c in columns[j]:
+                shift += c * x[i]
+            m, w = scales[j], weights[j]
+            if j == 0:
+                sq, r = divmod(rem, w)
+                b = math.isqrt(sq)
+                if r or b * b != sq:
+                    return
+                for t in (-b, b) if b else (0,):
+                    v, r = divmod(t - shift, m)
+                    if not r:
+                        x[0] = v
+                        found += 1
+                        if out is not None:
+                            out.append(tuple(x))
+                return
+            b = math.isqrt(rem // w)
+            for v in range(-((b + shift) // m), (b - shift) // m + 1):
+                t = m * v + shift
+                x[j] = v
+                descend(j - 1, rem - w * t * t)
+
+        descend(len(scales) - 1, self.multiplier * norm)
+        return found
+
+
 def short_vectors(gram, norm: int) -> list[Vector]:
     """All integer coordinate vectors x with x^T gram x = -norm.
 
-    gram must be negative definite.  The search intervals come from the
-    L D L^T splitting of -gram over Fractions, so the enumeration is
-    complete: no solution can fall outside the scanned boxes.  Both
-    members of every +-x pair are returned, in a deterministic order.
+    gram must be negative definite; is_isometric passes a _Factor in its
+    place, so that each Gram matrix is factored once per call.  The search
+    intervals come from the L D L^T splitting of -gram (see _Factor.walk),
+    so the enumeration is complete: no solution can fall outside them.
+    Both members of every +-x pair are returned, in a deterministic order.
     """
-    g = as_gram(gram)
-    if norm <= 0:
-        raise ValueError("norm must be a positive integer")
-    n = len(g)
-    a = [[-g[i][j] for j in range(n)] for i in range(n)]
-    L, d = _ldl(a)
+    factor = gram if isinstance(gram, _Factor) else _Factor(as_gram(gram))
     out: list[Vector] = []
-    x = [0] * n
-
-    def descend(j: int, rem: Fraction) -> None:
-        if j < 0:
-            if rem == 0:
-                out.append(tuple(x))
-            return
-        c = sum((L[i][j] * x[i] for i in range(j + 1, n)), Fraction(0))
-        bound = _frac_sqrt_upper(rem / d[j])
-        lo = math.ceil(-c - bound)
-        hi = math.floor(-c + bound)
-        for v in range(lo, hi + 1):
-            used = d[j] * (v + c) ** 2
-            if used <= rem:
-                x[j] = v
-                descend(j - 1, rem - used)
-        x[j] = 0
-
-    descend(n - 1, Fraction(norm))
+    factor.walk(norm, out)
     return out
 
 
@@ -221,7 +287,8 @@ def is_isometric(a, b, max_rank: int = ISOMETRY_MAX_RANK) -> bool:
     Candidate columns are drawn from the full finite sets of vectors of the
     required norms, so both answers are certificates: True comes with an
     explicit change of basis, False from exhausting the search space.
-    Raises CapacityError for ranks above max_rank.
+    Raises CapacityError for ranks above max_rank, and when the search
+    visits more than _ISOMETRY_NODE_BUDGET partial bases.
     """
     ga, gb = as_gram(a), as_gram(b)
     if not is_negative_definite(ga) or not is_negative_definite(gb):
@@ -234,28 +301,48 @@ def is_isometric(a, b, max_rank: int = ISOMETRY_MAX_RANK) -> bool:
     if determinant(ga) != determinant(gb):
         return False
 
-    norms = sorted({-ga[i][i] for i in range(n)} | {-gb[j][j] for j in range(n)})
-    cand = {m: short_vectors(ga, m) for m in norms}
+    fa, fb = _Factor(ga), _Factor(gb)
+    cand: dict[int, list[Vector]] = {}
     # Vector counts per norm are isometry invariants; mismatches are cheap
     # rejections that spare the backtracking search below.
-    for m in norms:
-        if len(cand[m]) != len(short_vectors(gb, m)):
+    for m in sorted({-ga[i][i] for i in range(n)} | {-gb[j][j] for j in range(n)}):
+        cand[m] = short_vectors(fa, m)
+        if len(cand[m]) != fb.walk(m, None):
             return False
 
-    paired = {m: [(u, _matvec(ga, u)) for u in cand[m]] for m in norms}
-    order = sorted(range(n), key=lambda j: (len(cand[-gb[j][j]]), j))
+    # Each unplaced column j keeps its domain: the candidates of norm
+    # -gb[j][j], with their images under ga, that pair with every placed
+    # vector as gb requires.  Placing a vector narrows every domain, and an
+    # empty one ends the branch at once.  The column placed next is the one
+    # with the smallest domain; ties go to the norm rarest on gb's diagonal
+    # (a shape like (1,1,1,2^6) has 36 vectors of norm 2 and of norm 3, and
+    # its single norm-3 column pins the chain), then to the lower index.
+    # The search is exhaustive in any order, so the order changes its cost,
+    # never its answer.
+    diag = [-gb[j][j] for j in range(n)]
+    rarity = Counter(diag)
+    budget = _ISOMETRY_NODE_BUDGET
+    nodes = 0
 
-    def extend(pos: int, placed: list[tuple[int, Vector]]) -> bool:
-        if pos == n:
+    def extend(domains: dict[int, list[tuple[Vector, Vector]]]) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise CapacityError(f"isometry search exceeded its budget of {budget} nodes")
+        if not domains:
             return True
-        j = order[pos]
-        for u, au in paired[-gb[j][j]]:
-            if all(
-                sum(pau[t] * u[t] for t in range(n)) == gb[pj][j]
-                for pj, pau in placed
-            ):
-                if extend(pos + 1, placed + [(j, au)]):
+        j = min(domains, key=lambda c: (len(domains[c]), rarity[diag[c]], c))
+        rest = [(c, gb[j][c], dom) for c, dom in domains.items() if c != j]
+        for u, au in domains[j]:
+            narrowed = {}
+            for c, want, dom in rest:
+                kept = [(v, av) for v, av in dom if sum(map(operator.mul, au, v)) == want]
+                if not kept:
+                    break
+                narrowed[c] = kept
+            else:
+                if extend(narrowed):
                     return True
         return False
 
-    return extend(0, [])
+    return extend({j: [(u, _matvec(ga, u)) for u in cand[diag[j]]] for j in range(n)})

@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's own code paths: exact polynomial
 arithmetic for torus-knot Alexander coefficients, itertools-based signed
-sums, a naive recursive determinant, a brute-force odd-vector cost table
-and a residue-only odd-vector cost DP.
+sums, a naive recursive determinant, a brute-force odd-vector cost table,
+a residue-only odd-vector cost DP and a short-vector descent over
+Fractions.
 """
 
+import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -137,3 +140,52 @@ def min_costs_cyclic(sig, modulus, bound):
         np.minimum(best[1:], buf[1:], out=best[1:])
         dp, best = best, dp
     return dp
+
+
+def _ldl_fraction(a):
+    """A = L D L^T for positive definite A; unit lower L over Fractions."""
+    n = len(a)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    d = [Fraction(0)] * n
+    for j in range(n):
+        s = Fraction(a[j][j])
+        for k in range(j):
+            s -= L[j][k] * L[j][k] * d[k]
+        assert s > 0, "matrix is not positive definite"
+        d[j] = s
+        L[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            t = Fraction(a[i][j])
+            for k in range(j):
+                t -= L[i][k] * L[j][k] * d[k]
+            L[i][j] = t / d[j]
+    return L, d
+
+
+def short_vectors_fraction(gram, norm):
+    """Every integer x with x^T gram x = -norm for a negative definite
+    gram, by a Fincke-Pohst descent over Fractions: the interval of x_j
+    is widened by a rational square-root bound, then each value is tested
+    exactly.  x_{n-1} varies slowest and every coordinate ascends."""
+    n = len(gram)
+    L, d = _ldl_fraction([[-gram[i][j] for j in range(n)] for i in range(n)])
+    out = []
+    x = [0] * n
+
+    def descend(j, rem):
+        if j < 0:
+            if rem == 0:
+                out.append(tuple(x))
+            return
+        c = sum((L[i][j] * x[i] for i in range(j + 1, n)), Fraction(0))
+        t = rem / d[j]
+        bound = Fraction(math.isqrt(t.numerator * t.denominator) + 1, t.denominator)
+        for v in range(math.ceil(-c - bound), math.floor(-c + bound) + 1):
+            used = d[j] * (v + c) ** 2
+            if used <= rem:
+                x[j] = v
+                descend(j - 1, rem - used)
+        x[j] = 0
+
+    descend(n - 1, Fraction(norm))
+    return out

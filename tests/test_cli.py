@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import cmkit.lattice
 import cmkit.torsion
 from cmkit.cli import main
 
@@ -313,6 +314,13 @@ def test_verify_capacity_exit_three(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma4", "--max-rank", "9")
     assert code == 3
     assert out == ""
+
+
+def test_verify_isometry_budget_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(cmkit.lattice, "_ISOMETRY_NODE_BUDGET", 1)
+    code, _, err = run_cli(capsys, "verify", "lemma5", "--max-rank", "4")
+    assert code == 3
+    assert "budget of 1 nodes" in err
 
 
 def test_verify_negative_rank_exits_two(capsys):

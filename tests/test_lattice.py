@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmkit import (
     CapacityError,
@@ -11,9 +15,10 @@ from cmkit import (
     leading_minors,
     short_vectors,
 )
-from cmkit.linear import linear_gram
+from cmkit.graphs import orthogonal_basis
+from cmkit.linear import cf_expand, linear_gram
 
-from oracle_utils import naive_determinant
+from oracle_utils import naive_determinant, short_vectors_fraction
 
 
 def test_inner_product_orthonormal():
@@ -171,6 +176,42 @@ def test_short_vectors_complete_against_box_scan():
         assert set(short_vectors(g, norm)) == brute
 
 
+@st.composite
+def _complement_grams(draw):
+    """Complement Gram of a changemaker (1, ...) of rank <= 7; entries stay
+    <= 3, which keeps the norms, and so the Fraction oracle, small."""
+    sig = [1]
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        sig.append(draw(st.integers(min_value=sig[-1], max_value=min(sum(sig) + 1, 3))))
+    return gram_matrix(orthogonal_basis(sig))
+
+
+_CHAIN_PAIRS = [
+    (p, q)
+    for p in range(2, 60)
+    for q in range(1, p)
+    if math.gcd(p, q) == 1 and len(cf_expand(p, q)) <= 6
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.one_of(
+        _complement_grams(),
+        st.sampled_from(_CHAIN_PAIRS).map(lambda pq: linear_gram(*pq)),
+    )
+)
+@example(gram_matrix(orthogonal_basis((1,) + (2,) * 8)))
+@example(gram_matrix(orthogonal_basis((1,) * 3 + (2,) * 6)))
+@example(gram_matrix(orthogonal_basis((1,) + (2,) * 10)))
+@example(gram_matrix(orthogonal_basis((1,) * 3 + (2,) * 8)))
+def test_short_vectors_match_fraction_descent(gram):
+    # the integer descent returns the Fraction descent's list, order included
+    diagonal = {-gram[i][i] for i in range(len(gram))}
+    for norm in sorted(diagonal | {m + 1 for m in diagonal}):
+        assert short_vectors(gram, norm) == short_vectors_fraction(gram, norm), norm
+
+
 def test_is_isometric_reflexive():
     for g in [[[-2]], linear_gram(9, 2), linear_gram(15, 11)]:
         assert is_isometric(g, g)
@@ -185,6 +226,15 @@ def test_is_isometric_rejects():
     assert not is_isometric(linear_gram(9, 2), linear_gram(9, 4))
     # same rank, same determinant, different classes
     assert not is_isometric(linear_gram(11, 3), linear_gram(11, 2))
+
+
+def test_is_isometric_rejects_by_search():
+    # equal determinant (-272) and six vectors of norm 7 each: only the
+    # pairings between candidate columns tell these two apart
+    a = ((-7, -3, -1), (-3, -7, -1), (-1, -1, -7))
+    b = ((-7, -2, -2), (-2, -7, 1), (-2, 1, -7))
+    assert not is_isometric(a, b)
+    assert not is_isometric(b, a)
 
 
 def test_is_isometric_symmetric_relation():

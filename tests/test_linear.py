@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmkit.lattice
+import cmkit.linear
 from cmkit import (
     CapacityError,
     LinearLatticeParams,
@@ -15,6 +17,8 @@ from cmkit import (
     linear_gram,
     recognize_linear,
 )
+from cmkit.graphs import orthogonal_basis
+from cmkit.lattice import gram_matrix
 
 
 def test_cf_expand_examples():
@@ -105,6 +109,55 @@ def test_recognize_linear_round_trip_gerstein_equivalent():
             assert gerstein_isomorphic(found[0], found[1], p, q)
 
 
+#: recognize_linear on the complement Gram of (1^k, 2^m), by rank k + m - 1
+#: and then k = 1..rank.  Lemma 5: a chain exactly when k is 1 or 3.
+TAIL_OF_2S_CHAINS = {
+    1: [(5, 1)],
+    2: [(9, 2), None],
+    3: [(13, 3), None, (7, 3)],
+    4: [(17, 4), None, (11, 7), None],
+    5: [(21, 5), None, (15, 11), None, None],
+    6: [(25, 6), None, (19, 14), None, None, None],
+    7: [(29, 7), None, (23, 17), None, None, None, None],
+    8: [(33, 8), None, (27, 20), None, None, None, None, None],
+    9: [(37, 9), None, (31, 23), None, None, None, None, None, None],
+    10: [(41, 10), None, (35, 26), None, None, None, None, None, None, None],
+}
+
+
+def _tail_of_2s_gram(k, m):
+    return gram_matrix(orthogonal_basis((1,) * k + (2,) * m))
+
+
+def test_recognize_linear_tail_of_2s_pinned():
+    for rank, expected in TAIL_OF_2S_CHAINS.items():
+        for k, want in enumerate(expected, start=1):
+            got = recognize_linear(_tail_of_2s_gram(k, rank + 1 - k), max_rank=rank)
+            assert got == want, (k, rank)
+
+
+def test_recognize_linear_reaches_the_traced_layers(monkeypatch):
+    # the benchmark's tracer wraps these two module globals; recognition
+    # must still reach both through them
+    calls = {"is_isometric": 0, "short_vectors": 0}
+    for module, name in ((cmkit.linear, "is_isometric"), (cmkit.lattice, "short_vectors")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert recognize_linear(_tail_of_2s_gram(3, 3)) == (15, 11)
+    assert calls["is_isometric"] > 0 and calls["short_vectors"] > 0
+
+
+def test_recognize_linear_isometry_budget(monkeypatch):
+    monkeypatch.setattr(cmkit.lattice, "_ISOMETRY_NODE_BUDGET", 1)
+    with pytest.raises(CapacityError, match="budget"):
+        recognize_linear(_tail_of_2s_gram(3, 3))
+
+
 def test_recognize_linear_capacity():
     g = tuple(tuple(-2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(6)) for i in range(6))
     with pytest.raises(CapacityError):
@@ -133,3 +186,26 @@ def test_gerstein_agrees_with_search_spot_checks():
         expected = gerstein_isomorphic(p, q1, p, q2)
         got = is_isometric(linear_gram(p, q1), linear_gram(p, q2), max_rank=8)
         assert got == expected
+
+
+@st.composite
+def _chain_pairs(draw):
+    """p <= 300 and q1, q2 whose expansions have one length <= 8; q2 is
+    q1's inverse mod p a quarter of the time, so that both answers occur."""
+    p = draw(st.integers(min_value=3, max_value=300))
+    by_length = {}
+    for q in range(1, p):
+        if math.gcd(p, q) == 1 and len(cf_expand(p, q)) <= 8:
+            by_length.setdefault(len(cf_expand(p, q)), []).append(q)
+    qs = by_length[draw(st.sampled_from(sorted(by_length)))]
+    q1 = draw(st.sampled_from(qs))
+    q2 = pow(q1, -1, p) if draw(st.integers(0, 3)) == 0 else draw(st.sampled_from(qs))
+    return p, q1, q2
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chain_pairs())
+def test_gerstein_agrees_with_search_random(pair):
+    p, q1, q2 = pair
+    expected = gerstein_isomorphic(p, q1, p, q2)
+    assert is_isometric(linear_gram(p, q1), linear_gram(p, q2), max_rank=8) == expected
