@@ -10,7 +10,6 @@ from .census import (
     VerificationResult,
     build_record,
     run_census,
-    summarize,
     verify_claim,
 )
 from .changemaker import (
@@ -18,7 +17,6 @@ from .changemaker import (
     CharacteristicVector,
     as_changemaker,
     coordinate_free_check,
-    enumerate_changemakers,
     is_changemaker,
     iter_changemakers,
     subset_representation,
@@ -41,7 +39,6 @@ from .lattice import (
     short_vectors,
 )
 from .linear import (
-    LinearLatticeParams,
     cf_evaluate,
     cf_expand,
     gerstein_isomorphic,
@@ -51,14 +48,11 @@ from .linear import (
 from .torsion import (
     AlexanderExponents,
     TorsionSequence,
-    characteristic_residues,
     coefficients,
     exponents_from_torsion,
     genus_from_changemaker,
     lemma4_witness,
-    min_level_by_scan,
     torsion_at_most,
-    torsion_difference,
     torsion_from_alexander,
     torsion_from_changemaker,
     torsion_staircase,
@@ -72,7 +66,6 @@ __all__ = [
     "ChangemakerVector",
     "CharacteristicVector",
     "IntersectionGraph",
-    "LinearLatticeParams",
     "SummaryAccumulator",
     "TorsionSequence",
     "VerificationResult",
@@ -80,12 +73,10 @@ __all__ = [
     "build_record",
     "cf_evaluate",
     "cf_expand",
-    "characteristic_residues",
     "coefficients",
     "complement_basis",
     "coordinate_free_check",
     "determinant",
-    "enumerate_changemakers",
     "exponents_from_torsion",
     "genus_from_changemaker",
     "gerstein_isomorphic",
@@ -100,15 +91,12 @@ __all__ = [
     "leading_ones",
     "lemma4_witness",
     "linear_gram",
-    "min_level_by_scan",
     "recognize_linear",
     "run_census",
     "short_vectors",
     "standard_basis",
     "subset_representation",
-    "summarize",
     "torsion_at_most",
-    "torsion_difference",
     "torsion_from_alexander",
     "torsion_from_changemaker",
     "torsion_staircase",

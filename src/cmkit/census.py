@@ -213,13 +213,6 @@ class SummaryAccumulator:
         }
 
 
-def summarize(records) -> dict:
-    acc = SummaryAccumulator()
-    for rec in records:
-        acc.add(rec)
-    return acc.as_dict()
-
-
 # ---------------------------------------------------------------------------
 # Verification sweeps.
 
@@ -239,7 +232,7 @@ class VerificationResult:
 def _lemma4_instance(sig: tuple[int, ...]) -> dict:
     """Full instance record, the one place the witness is checked: its
     level, its pairing with sigma recomputed through inner_product, and
-    t_{g-3} <= 1 decided by torsion_at_most on subset-sum bitsets."""
+    t_{g-3} <= 1 decided by torsion_at_most on one signed-sum bitset."""
     cm = ChangemakerVector(sig)
     g = genus_from_changemaker(cm)
     witness = lemma4_witness(cm)

@@ -10,7 +10,7 @@ subset sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import CapacityError
 
@@ -142,17 +142,6 @@ def subset_representation(sigma, target: int) -> tuple[int, ...]:
 def iter_changemakers(rank: int) -> Iterator[tuple[int, ...]]:
     """Changemakers with sigma_0 = 1 in -Z^(rank+1), lexicographic order."""
     return (sig for sig, _, _ in iter_changemakers_with_sums(rank))
-
-
-def enumerate_changemakers(
-    rank: int, predicate: Callable[[tuple[int, ...]], bool] | None = None
-) -> list[ChangemakerVector]:
-    """Materialized, optionally filtered census at a single rank."""
-    out = []
-    for sig in iter_changemakers(rank):
-        if predicate is None or predicate(sig):
-            out.append(ChangemakerVector(sig))
-    return out
 
 
 def iter_changemakers_with_sums(

@@ -345,4 +345,7 @@ def is_isometric(a, b, max_rank: int = ISOMETRY_MAX_RANK) -> bool:
                     return True
         return False
 
-    return extend({j: [(u, _matvec(ga, u)) for u in cand[diag[j]]] for j in range(n)})
+    # extend builds new kept lists and never mutates a domain, so the
+    # columns of one norm can share one list of images.
+    images = {m: [(u, _matvec(ga, u)) for u in cand[m]] for m in rarity}
+    return extend({j: images[diag[j]] for j in range(n)})

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CapacityError
 from .lattice import (
@@ -67,32 +66,6 @@ def linear_gram(p: int, q: int) -> Gram:
         tuple(-xs[i] if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n))
         for i in range(n)
     )
-
-
-@dataclass(frozen=True)
-class LinearLatticeParams:
-    """A pair p > q > 0 with gcd 1 and its all->=2 expansion."""
-
-    p: int
-    q: int
-    cf: tuple[int, ...]
-
-    def __post_init__(self):
-        _validate_pair(self.p, self.q)
-        object.__setattr__(self, "cf", tuple(int(x) for x in self.cf))
-        if cf_evaluate(self.cf) != (self.p, self.q):
-            raise ValueError(f"expansion {list(self.cf)} does not evaluate to {self.p}/{self.q}")
-
-    @classmethod
-    def from_pair(cls, p: int, q: int) -> "LinearLatticeParams":
-        return cls(p, q, tuple(cf_expand(p, q)))
-
-    @property
-    def rank(self) -> int:
-        return len(self.cf)
-
-    def gram(self) -> Gram:
-        return linear_gram(self.p, self.q)
 
 
 def gerstein_isomorphic(p: int, q: int, p2: int, q2: int) -> bool:

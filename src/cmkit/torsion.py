@@ -6,13 +6,12 @@ coefficient (-1)^(j-1) at degree n_j and (-1)^r at degree 0.  The torsion
 coefficients are the weighted tail sums t_i = sum_{j>=1} j * a_{i+j}.
 
 Lattice side: for a changemaker sigma with |<sigma, sigma>| = p, t_i is
-the least level k such that some all-odd vector c with
-sum(c_j^2) = (n+1) + 8k satisfies sum(c_j sigma_j) = p - 2i (mod 2p).
-Two implementations are provided: an ascending scan over odd-square
-multisets (the reference, min_level_by_scan) and a min-cost dynamic
-program whose coordinate bound is grown until it provably covers every
-optimal solution (the fast path).  The dynamic program runs on the
-integer sums themselves while they fit in a window shorter than the
+the least level k such that some all-odd vector c with sum(c_j^2) =
+(n+1) + 8k satisfies sum(c_j sigma_j) = p - 2i (mod 2p).  The staircase
+comes from a min-cost dynamic program whose coordinate bound is grown
+until it provably covers every optimal solution, and torsion_at_most
+decides t_i <= 1 on one signed-sum bitset.  The dynamic program runs on
+the integer sums themselves while they fit in a window shorter than the
 modulus 2p (changemaker prefixes are small), folds that window once onto
 the residues, and finishes the remaining coordinates there; the fold
 commutes with every later update, so the result is the residue-only
@@ -21,8 +20,9 @@ shifts of each coordinate and closes it with one mirror step.  Costs are
 int32 with the sentinel 2^30; a staircase whose cost cap n+1 + 8p, or
 the square of the largest coordinate bound it could need, does not fit
 below the sentinel, or whose p or first-pass work is past its measured
-capacity, is refused with CapacityError before any table is built.
-Both paths are exact and the test suite plays them against each other.
+capacity, is refused with CapacityError before any table is built.  Both
+are exact; the test suite plays them against an ascending scan over
+odd-square multisets, its reference oracle.
 """
 
 from __future__ import annotations
@@ -118,14 +118,6 @@ def torsion_from_alexander(ae, i: int) -> int:
         raise ValueError("index must be non-negative")
     coeff = coefficients(ae)
     return sum(j * coeff.get(i + j, 0) for j in range(1, ae.genus - i + 1))
-
-
-def torsion_difference(ae, i: int) -> int:
-    """Alternating count over exponents >= i+1; equals t_i - t_{i+1}."""
-    ae = _as_exponents(ae)
-    if i < 0:
-        raise ValueError("index must be non-negative")
-    return sum((-1) ** j for j, n in enumerate(ae.exponents) if n >= i + 1)
 
 
 class TorsionSequence:
@@ -232,130 +224,46 @@ def _validate_index(cm, i: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Reference implementation: ascending scan over odd-square multisets.
-
-
-def _odd_square_multisets(total: int, count: int, largest: int | None = None):
-    """Nonincreasing tuples of `count` odd positives whose squares sum to
-    total."""
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    if total < count:
-        return
-    top = math.isqrt(total - (count - 1))
-    if largest is not None:
-        top = min(top, largest)
-    if top % 2 == 0:
-        top -= 1
-    for v in range(top, 0, -2):
-        for rest in _odd_square_multisets(total - v * v, count - 1, v):
-            yield (v,) + rest
-
-
-def characteristic_residues(sigma, level: int) -> frozenset[int]:
-    """All values of sum(c_j sigma_j) mod 2p over all-odd vectors c of the
-    given level.
-
-    Reference path: enumerate the odd-square multisets, then assign values
-    to coordinates with a remaining-multiset dynamic program, tracking the
-    reachable residues.
-    """
-    cm = as_changemaker(sigma)
-    if cm.p == 0:
-        raise ValueError("sigma must be nonzero")
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    sig = cm.sigma
-    n1 = len(sig)
-    modulus = 2 * cm.p
-    out: set[int] = set()
-    for multiset in _odd_square_multisets(n1 + 8 * level, n1):
-        states: dict[tuple[int, ...], set[int]] = {multiset: {0}}
-        for s in sig:
-            nxt: dict[tuple[int, ...], set[int]] = {}
-            for ms, residues in states.items():
-                seen: set[int] = set()
-                for idx, v in enumerate(ms):
-                    if v in seen:
-                        continue
-                    seen.add(v)
-                    rest = ms[:idx] + ms[idx + 1 :]
-                    bucket = nxt.setdefault(rest, set())
-                    for r in residues:
-                        bucket.add((r + v * s) % modulus)
-                        bucket.add((r - v * s) % modulus)
-            states = nxt
-        for residues in states.values():  # only the empty multiset remains
-            out |= residues
-    return frozenset(out)
-
-
-def min_level_by_scan(sigma, i: int, cap: int | None = None) -> int:
-    """Ascending reference search for the minimum characteristic level."""
-    cm = as_changemaker(sigma)
-    _validate_index(cm, i)
-    target = (cm.p - 2 * i) % (2 * cm.p)
-    limit = cm.p if cap is None else cap
-    for k in range(limit + 1):
-        if target in characteristic_residues(cm, k):
-            return k
-    raise CapacityError(f"no characteristic vector found up to level {limit}")
-
-
-# ---------------------------------------------------------------------------
-# Fast exact paths: subset-sum bitsets for levels 0 and 1, and a certified
+# Fast exact paths: one signed-sum bitset for levels 0 and 1, and a certified
 # min-cost dynamic program for whole staircases.
-
-
-def _signed_sum_hits(values, total: int, target: int, modulus: int) -> bool:
-    """Is target (mod modulus) realized by some sum of +-v over the values?"""
-    bits = 1
-    for v in values:
-        bits |= bits << v
-    w = target % modulus
-    while w > total:
-        w -= modulus
-    while w >= -total:
-        if (total - w) % 2 == 0 and (bits >> ((total - w) // 2)) & 1:
-            return True
-        w -= modulus
-    return False
 
 
 def torsion_at_most(sigma, i: int, level: int) -> bool:
     """Exact check that the minimum characteristic level at index i is
-    <= level.
+    <= level, for level 0 or 1; other levels raise ValueError.
 
-    Levels 0 and 1 run on subset-sum bitsets (one tripled coordinate per
-    distinct entry value covers level 1); higher levels fall back to the
-    multiset scan.
+    One bitset B holds the +-1 sums over sigma (bit k: a subset of
+    sigma sums to k, the signed sum |sigma|_1 - 2k).  A level-1 vector has
+    one coordinate 3e (e = +-1) and the rest +-1, since sum(c^2) =
+    (n+1) + 8 forces exactly one c^2 = 9; its sum is b + 2e*sigma_j with
+    b in B the sum that has sign +e at j.  Conversely, for any b in B and
+    any j, e, b + 2e*sigma_j is a level-1 sum when b has sign +e at j, and
+    a level-0 sum (sign -e flipped to +e) when b has sign -e at j.  So the
+    level <= 1 sums are exactly B + {0, +-2 sigma_j}, and level 0 is B:
+    the target p - 2i is probed as target - d in B (mod 2p) for each
+    offset d.
     """
     cm = as_changemaker(sigma)
     _validate_index(cm, i)
-    if level < 0:
-        return False
-    sig = cm.sigma
-    modulus = 2 * cm.p
-    target = (cm.p - 2 * i) % modulus
-    if _signed_sum_hits(sig, cm.one_norm, target, modulus):
-        return True
-    if level == 0:
-        return False
-    seen: set[int] = set()
-    for idx, v in enumerate(sig):
-        if v in seen:
-            continue
-        seen.add(v)
-        rest = sig[:idx] + sig[idx + 1 :] + (3 * v,)
-        if _signed_sum_hits(rest, cm.one_norm + 2 * v, target, modulus):
-            return True
+    if level not in (0, 1):
+        raise ValueError(f"torsion_at_most decides levels 0 and 1, got {level}")
+    sig, total, modulus = cm.sigma, cm.one_norm, 2 * cm.p
+    bits = 1
+    for v in sig:
+        bits |= bits << v
+    target = cm.p - 2 * i
+    offsets = [0]
     if level == 1:
-        return False
-    for k in range(2, level + 1):
-        if target in characteristic_residues(cm, k):
-            return True
+        for v in sorted(set(sig), reverse=True):  # the largest offsets reach furthest
+            offsets += (2 * v, -2 * v)
+    for d in offsets:
+        r = (target - d) % modulus
+        # |sigma|_1 <= p, so r and r - 2p are the only representatives in
+        # [-total, total]; total - w is even, as w = p - 2i - d (mod 2p),
+        # d is even and p - |sigma|_1 = 2g.
+        for w in (r, r - modulus):
+            if -total <= w <= total and bits >> (total - w) // 2 & 1:
+                return True
     return False
 
 

@@ -3,8 +3,8 @@
 These deliberately avoid the library's own code paths: exact polynomial
 arithmetic for torus-knot Alexander coefficients, itertools-based signed
 sums, a naive recursive determinant, a brute-force odd-vector cost table,
-a residue-only odd-vector cost DP and a short-vector descent over
-Fractions.
+a residue-only odd-vector cost DP, an ascending characteristic-level scan
+over odd-square multisets and a short-vector descent over Fractions.
 """
 
 import math
@@ -140,6 +140,71 @@ def min_costs_cyclic(sig, modulus, bound):
         np.minimum(best[1:], buf[1:], out=best[1:])
         dp, best = best, dp
     return dp
+
+
+def _odd_square_multisets(total, count, largest=None):
+    """Nonincreasing tuples of `count` odd positives whose squares sum to
+    total."""
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    if total < count:
+        return
+    top = math.isqrt(total - (count - 1))
+    if largest is not None:
+        top = min(top, largest)
+    if top % 2 == 0:
+        top -= 1
+    for v in range(top, 0, -2):
+        for rest in _odd_square_multisets(total - v * v, count - 1, v):
+            yield (v,) + rest
+
+
+def characteristic_residues(sigma, level):
+    """All values of sum(c_j sigma_j) mod 2p over all-odd vectors c of the
+    given level, p = sum(sigma_j^2).
+
+    Enumerates the odd-square multisets, then assigns values to
+    coordinates with a remaining-multiset dynamic program, tracking the
+    reachable residues.
+    """
+    sig = tuple(int(x) for x in sigma)
+    modulus = 2 * sum(x * x for x in sig)
+    assert modulus > 0 and level >= 0
+    n1 = len(sig)
+    out = set()
+    for multiset in _odd_square_multisets(n1 + 8 * level, n1):
+        states = {multiset: {0}}
+        for s in sig:
+            nxt = {}
+            for ms, residues in states.items():
+                seen = set()
+                for idx, v in enumerate(ms):
+                    if v in seen:
+                        continue
+                    seen.add(v)
+                    rest = ms[:idx] + ms[idx + 1 :]
+                    bucket = nxt.setdefault(rest, set())
+                    for r in residues:
+                        bucket.add((r + v * s) % modulus)
+                        bucket.add((r - v * s) % modulus)
+            states = nxt
+        for residues in states.values():  # only the empty multiset remains
+            out |= residues
+    return frozenset(out)
+
+
+def min_level_by_scan(sigma, i):
+    """Ascending search for the minimum characteristic level at index i:
+    the least k whose residues hold p - 2i (mod 2p)."""
+    p = sum(int(x) ** 2 for x in sigma)
+    assert int(sigma[0]) == 1 and 0 <= i <= p // 2
+    target = (p - 2 * i) % (2 * p)
+    for k in range(p + 1):
+        if target in characteristic_residues(sigma, k):
+            return k
+    raise AssertionError(f"no characteristic vector found up to level {p}")
 
 
 def _ldl_fraction(a):

@@ -21,7 +21,6 @@ from cmkit import (
     is_changemaker,
     is_isometric,
     linear_gram,
-    min_level_by_scan,
     exponents_from_torsion,
     standard_basis,
     torsion_from_alexander,
@@ -30,7 +29,7 @@ from cmkit import (
 )
 from cmkit.cli import main as cli_main
 
-from oracle_utils import nondecreasing_sequences
+from oracle_utils import min_level_by_scan, nondecreasing_sequences
 
 
 def _finish(num, label, started, limit=None):

@@ -7,9 +7,9 @@ import cmkit.changemaker
 import cmkit.torsion
 from cmkit import (
     CapacityError,
+    SummaryAccumulator,
     build_record,
     run_census,
-    summarize,
     verify_claim,
 )
 from cmkit.census import (
@@ -92,7 +92,10 @@ def test_run_census_order_and_summary():
         (1, 2, 3),
         (1, 2, 4),
     ]
-    summary = summarize(records)
+    acc = SummaryAccumulator()
+    for rec in records:
+        acc.add(rec)
+    summary = acc.as_dict()
     assert summary["records"] == 8
     assert summary["lemma5_holds"] is True
     assert summary["theorem1_holds"] is True

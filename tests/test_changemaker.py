@@ -9,7 +9,6 @@ from cmkit import (
     ChangemakerVector,
     CharacteristicVector,
     coordinate_free_check,
-    enumerate_changemakers,
     is_changemaker,
     iter_changemakers,
     subset_representation,
@@ -57,21 +56,21 @@ def test_equivalence_on_sorted_inputs(entries):
 
 
 def test_enumerate_rank_one():
-    assert [c.sigma for c in enumerate_changemakers(1)] == [(1, 1), (1, 2)]
+    assert [s for s in iter_changemakers(1)] == [(1, 1), (1, 2)]
 
 
 def test_enumerate_rank_two_tail_filter():
-    got = [c.sigma for c in enumerate_changemakers(2, lambda s: s[-1] == 2)]
+    got = [s for s in iter_changemakers(2) if s[-1] == 2]
     assert got == [(1, 1, 2), (1, 2, 2)]
 
 
 def test_enumerate_rank_one_tail_three_empty():
-    assert enumerate_changemakers(1, lambda s: s[-1] == 3) == []
+    assert [s for s in iter_changemakers(1) if s[-1] == 3] == []
 
 
 def test_enumerate_is_sorted_unique_and_valid():
     for rank in (1, 2, 3, 4):
-        sigs = [c.sigma for c in enumerate_changemakers(rank)]
+        sigs = [s for s in iter_changemakers(rank)]
         assert sigs == sorted(sigs)
         assert len(sigs) == len(set(sigs))
         assert all(is_changemaker(s) for s in sigs)

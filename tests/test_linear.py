@@ -8,7 +8,6 @@ import cmkit.lattice
 import cmkit.linear
 from cmkit import (
     CapacityError,
-    LinearLatticeParams,
     cf_evaluate,
     cf_expand,
     determinant,
@@ -167,17 +166,6 @@ def test_recognize_linear_capacity():
 def test_recognize_linear_rejects_indefinite():
     with pytest.raises(ValueError):
         recognize_linear([[1]])
-
-
-def test_linear_lattice_params_validation():
-    params = LinearLatticeParams.from_pair(9, 2)
-    assert params.cf == (5, 2)
-    assert params.rank == 2
-    assert params.gram() == linear_gram(9, 2)
-    with pytest.raises(ValueError):
-        LinearLatticeParams(9, 2, (5, 3))
-    with pytest.raises(ValueError):
-        LinearLatticeParams(4, 2, (2,))
 
 
 def test_gerstein_agrees_with_search_spot_checks():

@@ -10,16 +10,13 @@ from hypothesis import strategies as st
 from cmkit import (
     AlexanderExponents,
     TorsionSequence,
-    characteristic_residues,
     coefficients,
     exponents_from_torsion,
     genus_from_changemaker,
     inner_product,
     iter_changemakers,
     lemma4_witness,
-    min_level_by_scan,
     torsion_at_most,
-    torsion_difference,
     torsion_from_alexander,
     torsion_from_changemaker,
     torsion_staircase,
@@ -30,7 +27,9 @@ from cmkit.torsion import _INF, _min_costs
 
 from oracle_utils import (
     CYCLIC_INF,
+    characteristic_residues,
     min_costs_cyclic,
+    min_level_by_scan,
     min_odd_costs,
     torus_alexander_coefficients,
 )
@@ -66,24 +65,6 @@ def test_torsion_from_alexander_examples():
         g = ae[0]
         assert torsion_from_alexander(ae, g) == 0
         assert torsion_from_alexander(ae, g + 3) == 0
-
-
-def test_torsion_difference_examples():
-    assert torsion_difference((2, 1), 1) == 1
-    assert torsion_difference((2, 1), 2) == 0
-    assert torsion_difference((3, 2, 1), 0) == 1
-
-
-def test_torsion_difference_consistency():
-    rng = random.Random(31)
-    for _ in range(60):
-        g = rng.randint(1, 9)
-        rest = sorted(rng.sample(range(1, g), rng.randint(0, g - 1)), reverse=True)
-        ae = AlexanderExponents((g, *rest))
-        for i in range(g + 2):
-            assert torsion_difference(ae, i) == torsion_from_alexander(
-                ae, i
-            ) - torsion_from_alexander(ae, i + 1)
 
 
 def test_lens_space_flag_gates_second_exponent():
@@ -297,8 +278,37 @@ def test_torsion_at_most_matches_exact_values():
             g = genus_from_changemaker(sig)
             for i in range(g + 1):
                 t = torsion_from_changemaker(sig, i)
-                for level in range(4):
+                for level in (0, 1):
                     assert torsion_at_most(sig, i, level) == (t <= level)
+    with pytest.raises(ValueError):
+        torsion_at_most((1, 1, 3), 0, 2)
+
+
+@st.composite
+def _index_cases(draw, max_rank=6):
+    """A changemaker of rank <= max_rank with sigma_0 = 1 and an index in
+    [0, p // 2], past the genus included."""
+    sig = [1]
+    for _ in range(draw(st.integers(min_value=0, max_value=max_rank))):
+        sig.append(draw(st.integers(min_value=sig[-1], max_value=1 + sum(sig))))
+    p = sum(x * x for x in sig)
+    return tuple(sig), draw(st.integers(min_value=0, max_value=p // 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_index_cases())
+@example(((1, 1, 3), 1))  # level 1 reached only through a -2 sigma_j offset
+@example(((1, 1, 3), 5))  # i = p // 2, past the genus
+def test_torsion_at_most_against_scan_and_staircase(case):
+    sig, i = case
+    p = sum(x * x for x in sig)
+    target = (p - 2 * i) % (2 * p)
+    stair = torsion_staircase(sig)
+    t = stair[i] if i < len(stair) else 0
+    level0 = target in characteristic_residues(sig, 0)
+    level1 = level0 or target in characteristic_residues(sig, 1)
+    assert torsion_at_most(sig, i, 0) == level0 == (t <= 0)
+    assert torsion_at_most(sig, i, 1) == level1 == (t <= 1)
 
 
 def test_witness_examples():
