@@ -35,7 +35,6 @@ from .lattice import (
     inner_product,
     is_isometric,
     is_negative_definite,
-    leading_minors,
     short_vectors,
 )
 from .linear import (
@@ -87,7 +86,6 @@ __all__ = [
     "is_isometric",
     "is_negative_definite",
     "iter_changemakers",
-    "leading_minors",
     "leading_ones",
     "lemma4_witness",
     "linear_gram",

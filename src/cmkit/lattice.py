@@ -2,10 +2,11 @@
 
 Vectors are tuples of integers giving coordinates over an orthonormal
 basis e_0, ..., e_n with <e_i, e_j> = -1 if i == j and 0 otherwise.
-Everything is exact, never floats: a Gram matrix is factored over
-Fractions once, and the short-vector descent on that factor runs on
-integers alone.  The isometry search places, at every step, the column
-with the fewest candidates left (Plesken-Souvignier; Fincke-Pohst bounds).
+Everything is exact and integer, never floats: one fraction-free (Bareiss)
+elimination of a Gram matrix gives its determinant, decides its
+definiteness and yields the factor that the short-vector descent runs on.
+The isometry search places, at every step, the column with the fewest
+candidates left (Plesken-Souvignier; Fincke-Pohst bounds).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from fractions import Fraction
 
 from .errors import CapacityError
 
@@ -65,46 +65,66 @@ def gram_matrix(basis) -> Gram:
     return tuple(tuple(inner_product(u, v) for v in vecs) for u in vecs)
 
 
-def determinant(matrix) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    a = [[int(x) for x in row] for row in matrix]
+def _bareiss(a: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Bareiss's fraction-free elimination of a square integer matrix, in
+    place; returns its rows and the number of row swaps made.
+
+    A row is swapped in only where a pivot is zero.  With no swap, row k
+    holds at column j >= k the minor of rows 0..k and columns 0..k-1, j, so
+    pivot k is the leading principal minor D_{k+1}, and every division is
+    exact.  When no row can supply a pivot the matrix is singular, and the
+    elimination stops with that zero on the diagonal.
+    """
     n = len(a)
-    if n == 0 or any(len(row) != n for row in a):
-        raise ValueError("matrix must be square and non-empty")
-    sign, prev = 1, 1
+    swaps, prev = 0, 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                break
+            a[k], a[r] = a[r], a[k]
+            swaps += 1
         pivot = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return a, swaps
 
 
-def leading_minors(matrix) -> list[int]:
-    """Determinants of the leading principal k x k blocks, k = 1..n."""
-    m = [[int(x) for x in row] for row in matrix]
-    return [determinant([row[: k + 1] for row in m[: k + 1]]) for k in range(len(m))]
+def determinant(matrix) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    a = [[int(x) for x in row] for row in matrix]
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
+        raise ValueError("matrix must be square and non-empty")
+    rows, swaps = _bareiss(a)
+    if any(rows[k][k] == 0 for k in range(n)):
+        return 0
+    return (-1) ** swaps * rows[-1][-1]
+
+
+def _definite_rows(g: Gram) -> list[list[int]] | None:
+    """The Bareiss rows of -g when g is negative definite, else None.
+
+    Sylvester: -g is positive definite iff every leading principal minor
+    is positive, i.e. iff it eliminates with no swap and positive pivots.
+    """
+    rows, swaps = _bareiss([[-x for x in row] for row in g])
+    if swaps or any(rows[k][k] <= 0 for k in range(len(rows))):
+        return None
+    return rows
 
 
 def is_negative_definite(matrix) -> bool:
-    """Sylvester test: the k-th leading minor must have sign (-1)^k."""
+    """Whether matrix is a square symmetric integer matrix whose form is
+    negative definite (Sylvester's test on one Bareiss pass)."""
     try:
-        minors = leading_minors(matrix)
+        g = as_gram(matrix)
     except ValueError:
         return False
-    return bool(minors) and all(
-        (-1) ** (k + 1) * d > 0 for k, d in enumerate(minors)
-    )
+    return _definite_rows(g) is not None
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -157,60 +177,40 @@ def complement_basis(sigma) -> list[Vector]:
     return kernel
 
 
-def _ldl(a: list[list[int]]):
-    """A = L D L^T for positive definite A; unit lower L over Fractions."""
-    n = len(a)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for j in range(n):
-        s = Fraction(a[j][j])
-        for k in range(j):
-            s -= L[j][k] * L[j][k] * d[k]
-        if s <= 0:
-            raise ValueError("matrix is not positive definite")
-        d[j] = s
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            t = Fraction(a[i][j])
-            for k in range(j):
-                t -= L[i][k] * L[j][k] * d[k]
-            L[i][j] = t / d[j]
-    return L, d
-
-
 class _Factor:
-    """The integer descent data of one negative definite Gram matrix g.
+    """One negative definite Gram matrix g, validated, with its determinant
+    and the integer descent data of its form Q(x) = x^T (-g) x.
 
-    With -g = L D L^T (L unit lower triangular, over Fractions) the form
-    Q(x) = x^T (-g) x equals sum_j d_j (x_j + sum_{i>j} L[i][j] x_i)^2.
-    Column j is scaled by M_j, the lcm of the denominators of its entries
-    below the diagonal, so that t_j = M_j x_j + N_j with
-    N_j = sum_{i>j} (M_j L[i][j]) x_i is an integer; one K then makes
-    every weight w_j = K d_j / M_j^2 an integer, and K Q(x) = sum_j w_j t_j^2.
-    The Fractions are used here, once per Gram matrix; the descent below
-    runs on integers alone.
+    Row j of the Bareiss elimination of -g is u_j, with u_j[j] = D_{j+1}
+    (D_0 = 1), and Q(x) = sum_j s_j^2 / (D_j D_{j+1}) with s_j = u_j . x:
+    this is the L D L^T splitting, whose unit upper rows are u_j / D_{j+1}
+    and whose pivots are D_{j+1} / D_j.  Dividing u_j by its gcd c_j gives
+    s_j = c_j t_j with t_j = M_j x_j + N_j, the scale M_j = D_{j+1} / c_j
+    and the integer N_j = sum_{i>j} (u_j[i] / c_j) x_i; one K, the lcm of
+    the reduced denominators of c_j^2 / (D_j D_{j+1}), makes every weight
+    w_j = K c_j^2 / (D_j D_{j+1}) an integer, and K Q(x) = sum_j w_j t_j^2.
     """
 
-    __slots__ = ("scales", "weights", "columns", "multiplier")
+    __slots__ = ("gram", "determinant", "scales", "weights", "columns", "multiplier")
 
-    def __init__(self, g: Gram):
+    def __init__(self, gram):
+        g = as_gram(gram)
+        rows = _definite_rows(g)
+        if rows is None:
+            raise ValueError("Gram matrix must be negative definite")
         n = len(g)
-        L, d = _ldl([[-x for x in row] for row in g])
-        scales = [
-            math.lcm(*(L[i][j].denominator for i in range(j + 1, n))) for j in range(n)
-        ]
-        # K * num / (den * M^2) is an integer iff den * M^2 / gcd(num, M^2)
-        # divides K (num and den are coprime); K is the lcm of those.
-        multiplier = math.lcm(
-            *(dj.denominator * m * m // math.gcd(dj.numerator, m * m) for dj, m in zip(d, scales))
-        )
-        self.scales = scales
-        self.weights = [
-            multiplier * dj.numerator // (dj.denominator * m * m) for dj, m in zip(d, scales)
-        ]
+        minors = [1] + [row[j] for j, row in enumerate(rows)]
+        contents = [math.gcd(*row) for row in rows]
+        dens = [minors[j] * minors[j + 1] for j in range(n)]
+        # c^2 / den in lowest terms has denominator den / gcd(c^2, den)
+        multiplier = math.lcm(*(d // math.gcd(c * c, d) for c, d in zip(contents, dens)))
+        self.gram = g
+        self.determinant = (-1) ** n * minors[n]
+        self.scales = [minors[j + 1] // c for j, c in enumerate(contents)]
+        self.weights = [multiplier * c * c // d for c, d in zip(contents, dens)]
         self.columns = [
-            [(i, int(L[i][j] * scales[j])) for i in range(j + 1, n) if L[i][j]]
-            for j in range(n)
+            [(i, row[i] // c) for i in range(j + 1, n) if row[i]]
+            for j, (row, c) in enumerate(zip(rows, contents))
         ]
         self.multiplier = multiplier
 
@@ -264,13 +264,14 @@ class _Factor:
 def short_vectors(gram, norm: int) -> list[Vector]:
     """All integer coordinate vectors x with x^T gram x = -norm.
 
-    gram must be negative definite; is_isometric passes a _Factor in its
-    place, so that each Gram matrix is factored once per call.  The search
-    intervals come from the L D L^T splitting of -gram (see _Factor.walk),
-    so the enumeration is complete: no solution can fall outside them.
+    gram must be negative definite, or a _Factor of one: is_isometric
+    passes its factor of a, which recognize_linear makes once per call, so
+    no Gram matrix is eliminated twice.  The search intervals come from the
+    L D L^T splitting of -gram (see _Factor and _Factor.walk), so the
+    enumeration is complete: no solution can fall outside them.
     Both members of every +-x pair are returned, in a deterministic order.
     """
-    factor = gram if isinstance(gram, _Factor) else _Factor(as_gram(gram))
+    factor = gram if isinstance(gram, _Factor) else _Factor(gram)
     out: list[Vector] = []
     factor.walk(norm, out)
     return out
@@ -284,24 +285,25 @@ def is_isometric(a, b, max_rank: int = ISOMETRY_MAX_RANK) -> bool:
     """Decide whether two negative definite Gram matrices present isometric
     lattices, by complete search for an integer U with U^T a U = b.
 
-    Candidate columns are drawn from the full finite sets of vectors of the
-    required norms, so both answers are certificates: True comes with an
-    explicit change of basis, False from exhausting the search space.
-    Raises CapacityError for ranks above max_rank, and when the search
-    visits more than _ISOMETRY_NODE_BUDGET partial bases.
+    a may also be a _Factor of one, as recognize_linear passes.  Candidate
+    columns are drawn from the full finite sets of vectors of the required
+    norms, so both answers are certificates: True comes with an explicit
+    change of basis, False from exhausting the search space.  Raises
+    ValueError unless both are negative definite, and CapacityError for
+    ranks above max_rank and when the search visits more than
+    _ISOMETRY_NODE_BUDGET partial bases.
     """
-    ga, gb = as_gram(a), as_gram(b)
-    if not is_negative_definite(ga) or not is_negative_definite(gb):
-        raise ValueError("both matrices must be negative definite")
+    fa = a if isinstance(a, _Factor) else _Factor(a)
+    fb = _Factor(b)
+    ga, gb = fa.gram, fb.gram
     if len(ga) != len(gb):
         return False
     n = len(ga)
     if n > max_rank:
         raise CapacityError(f"isometry search capped at rank {max_rank}, got {n}")
-    if determinant(ga) != determinant(gb):
+    if fa.determinant != fb.determinant:
         return False
 
-    fa, fb = _Factor(ga), _Factor(gb)
     cand: dict[int, list[Vector]] = {}
     # Vector counts per norm are isometry invariants; mismatches are cheap
     # rejections that spare the backtracking search below.

@@ -1,17 +1,11 @@
-"""Negative continued fractions and linear (chain) lattices."""
+"""Negative continued-fraction expansions and linear (chain) lattices."""
 
 from __future__ import annotations
 
 import math
 
 from .errors import CapacityError
-from .lattice import (
-    Gram,
-    ISOMETRY_MAX_RANK,
-    determinant,
-    is_isometric,
-    is_negative_definite,
-)
+from .lattice import ISOMETRY_MAX_RANK, Gram, _Factor, is_isometric
 
 
 def _validate_pair(p: int, q: int) -> tuple[int, int]:
@@ -84,17 +78,16 @@ def recognize_linear(gram, max_rank: int = ISOMETRY_MAX_RANK) -> tuple[int, int]
     match with the smallest q is returned.  Since q and its inverse mod p
     present the same lattice (reverse the chain), callers should compare
     results with gerstein_isomorphic, never by raw equality.  Returns
-    None when no candidate matches.
+    None when no candidate matches.  gram is validated and eliminated once,
+    and that one factor serves every candidate's isometry search.
     """
-    g = tuple(tuple(int(x) for x in row) for row in gram)
-    if not is_negative_definite(g):
-        raise ValueError("gram must be negative definite")
-    n = len(g)
+    source = _Factor(gram)
+    n = len(source.gram)
     if n > max_rank:
         raise CapacityError(
             f"linear-lattice recognition capped at rank {max_rank}, got {n}"
         )
-    p = abs(determinant(g))
+    p = abs(source.determinant)
     if p < 2:
         return None
     for q in range(1, p):
@@ -102,6 +95,6 @@ def recognize_linear(gram, max_rank: int = ISOMETRY_MAX_RANK) -> tuple[int, int]
             continue
         if len(cf_expand(p, q)) != n:
             continue
-        if is_isometric(g, linear_gram(p, q), max_rank=max_rank):
+        if is_isometric(source, linear_gram(p, q), max_rank=max_rank):
             return (p, q)
     return None

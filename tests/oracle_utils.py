@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own code paths: exact polynomial
 arithmetic for torus-knot Alexander coefficients, itertools-based signed
-sums, a naive recursive determinant, a brute-force odd-vector cost table,
-a residue-only odd-vector cost DP, an ascending characteristic-level scan
-over odd-square multisets and a short-vector descent over Fractions.
+sums, a naive recursive determinant and the leading principal minors built
+on it, a brute-force odd-vector cost table, a residue-only odd-vector cost
+DP, an ascending characteristic-level scan over odd-square multisets and a
+short-vector descent over Fractions.
 """
 
 import math
@@ -75,6 +76,11 @@ def naive_determinant(m):
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         det += (-1) ** j * m[0][j] * naive_determinant(minor)
     return det
+
+
+def naive_leading_minors(m):
+    """Determinants of the leading principal k x k blocks, k = 1..n."""
+    return [naive_determinant([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
 
 
 def nondecreasing_sequences(max_sum, max_len):

@@ -6,6 +6,7 @@ import cmkit
 REMOVED = (
     "characteristic_residues",
     "enumerate_changemakers",
+    "leading_minors",
     "LinearLatticeParams",
     "min_level_by_scan",
     "summarize",

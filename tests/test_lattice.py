@@ -12,13 +12,12 @@ from cmkit import (
     inner_product,
     is_isometric,
     is_negative_definite,
-    leading_minors,
     short_vectors,
 )
 from cmkit.graphs import orthogonal_basis
 from cmkit.linear import cf_expand, linear_gram
 
-from oracle_utils import naive_determinant, short_vectors_fraction
+from oracle_utils import naive_determinant, naive_leading_minors, short_vectors_fraction
 
 
 def test_inner_product_orthonormal():
@@ -93,7 +92,7 @@ def test_determinant_matches_naive_expansion():
 
 def test_leading_minors_alternate_for_negative_definite():
     g = linear_gram(15, 11)
-    minors = leading_minors(g)
+    minors = naive_leading_minors(g)
     assert [(-1) ** (k + 1) * d > 0 for k, d in enumerate(minors)] == [True] * len(minors)
     assert abs(minors[-1]) == 15
 
@@ -102,7 +101,36 @@ def test_is_negative_definite_rejects():
     assert not is_negative_definite([[2]])
     assert not is_negative_definite([[-2, 2], [2, -2]])  # determinant 0
     assert not is_negative_definite([[-1, 3], [3, -1]])
+    # leading minors -1 and 1, but x = (1, 1) gives +8: not a Gram matrix
+    assert not is_negative_definite([[-1, 10], [0, -1]])
+    assert not is_negative_definite([[-1, 0]])
     assert is_negative_definite([[-1, 0], [0, -1]])
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric integer matrices of size <= 5: either entries in [-2, 2],
+    where zero leading minors are common, or the Gram matrix of a few
+    random vectors, which is negative definite unless they are dependent."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    if draw(st.booleans()):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                m[i][j] = m[j][i] = draw(st.integers(min_value=-2, max_value=2))
+        return m
+    vecs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+    return [[-sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_matrices())
+@example([[0, 1], [1, 0]])
+@example([[-1, 1, 0], [1, -1, 0], [0, 0, -1]])
+def test_elimination_matches_naive_determinant_and_sylvester(m):
+    assert determinant(m) == naive_determinant(m)
+    sylvester = all((-1) ** k * d > 0 for k, d in enumerate(naive_leading_minors(m), start=1))
+    assert is_negative_definite(m) == sylvester
 
 
 def test_complement_basis_rank_one():

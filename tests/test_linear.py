@@ -151,6 +151,26 @@ def test_recognize_linear_reaches_the_traced_layers(monkeypatch):
     assert calls["is_isometric"] > 0 and calls["short_vectors"] > 0
 
 
+def test_recognize_linear_eliminates_its_source_gram_once(monkeypatch):
+    # one factor of the source Gram serves every candidate q; the source is
+    # the chain [2, 2, 6, 2] with its first two vectors swapped, so that it
+    # equals no candidate's Gram and three candidates are tried
+    chain = linear_gram(29, 20)
+    source = tuple(tuple(chain[i][j] for j in (1, 0, 2, 3)) for i in (1, 0, 2, 3))
+    negated = tuple(tuple(-x for x in row) for row in source)
+    eliminated = []
+    original = cmkit.lattice._bareiss
+
+    def counted(a):
+        eliminated.append(tuple(map(tuple, a)))
+        return original(a)
+
+    monkeypatch.setattr(cmkit.lattice, "_bareiss", counted)
+    assert recognize_linear(source) == (29, 16)
+    assert eliminated.count(negated) == 1
+    assert len(eliminated) == 4
+
+
 def test_recognize_linear_isometry_budget(monkeypatch):
     monkeypatch.setattr(cmkit.lattice, "_ISOMETRY_NODE_BUDGET", 1)
     with pytest.raises(CapacityError, match="budget"):
