@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 from . import census as census_mod
 from .changemaker import ChangemakerVector, is_changemaker
@@ -23,38 +23,60 @@ from .torsion import genus_from_changemaker, torsion_staircase
 
 SCHEMA = "cmkit/1"
 
+# The census CSV header, printed before the first record because a census
+# may have none; tests tie it to the cells _census_row takes from to_dict.
+_CSV_COLUMNS = (
+    "rank,sigma,p,g,k,classification,linear_p,linear_q,torsion,exponents,"
+    "theorem1_applicable,theorem1_verified"
+)
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _csv_row(values) -> str:
+    """One CSV line: a list is space-joined, None is empty, and any other
+    value is str(value)."""
+    return ",".join(
+        " ".join(map(str, v)) if isinstance(v, list) else "" if v is None else str(v)
+        for v in values
+    )
+
+
 @contextmanager
 def _sink(path):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+    """A line writer to FILE, opened at the first line so that a request
+    refused before it writes leaves FILE as it was; to stdout (print's
+    file=None) without a path."""
+    with ExitStack() as stack:
+        fh = None
+
+        def write(line: str) -> None:
+            nonlocal fh
+            if fh is None and path:
+                fh = stack.enter_context(open(path, "w", encoding="utf-8"))
+            print(line, file=fh)
+
+        yield write
+
+
+def _emit(args, out, payload: dict) -> None:
+    """A one-object command's output: one cmkit/1 JSON line, or a CSV
+    header of the payload's keys and one row."""
+    if args.format == "csv":
+        out(",".join(payload))
+        out(_csv_row(payload.values()))
     else:
-        yield sys.stdout
+        out(_dump({"schema": SCHEMA, "command": args.command, **payload}))
+
+
+def _header(args, out, **fields) -> None:
+    out(_dump({"schema": SCHEMA, "kind": "header", "command": args.command, **fields}))
 
 
 def _cmd_cf(args, out) -> int:
-    expansion = cf_expand(args.p, args.q)
-    if args.format == "csv":
-        print("p,q,cf", file=out)
-        print(f"{args.p},{args.q}," + " ".join(map(str, expansion)), file=out)
-    else:
-        print(
-            _dump(
-                {
-                    "schema": SCHEMA,
-                    "command": "cf",
-                    "p": args.p,
-                    "q": args.q,
-                    "cf": expansion,
-                }
-            ),
-            file=out,
-        )
+    _emit(args, out, {"p": args.p, "q": args.q, "cf": cf_expand(args.p, args.q)})
     return 0
 
 
@@ -63,22 +85,15 @@ def _cmd_gram(args, out) -> int:
         if len(args.values) != 2:
             raise ValueError("--linear expects exactly two values: p q")
         p, q = args.values
-        gram = linear_gram(p, q)
-        meta = {"source": "linear", "p": p, "q": q}
+        payload = {"source": "linear", "p": p, "q": q, "gram": linear_gram(p, q)}
     else:
-        sig = tuple(args.values)
-        if not any(sig):
-            raise ValueError("sigma must be nonzero")
-        gram = gram_matrix(orthogonal_basis(sig))
-        meta = {"source": "sigma", "sigma": list(sig)}
+        gram = gram_matrix(orthogonal_basis(args.values))
+        payload = {"source": "sigma", "sigma": args.values, "gram": gram}
     if args.format == "csv":
-        for row in gram:
-            print(",".join(map(str, row)), file=out)
+        for row in payload["gram"]:
+            out(_csv_row(row))
     else:
-        payload = {"schema": SCHEMA, "command": "gram"}
-        payload.update(meta)
-        payload["gram"] = [list(row) for row in gram]
-        print(_dump(payload), file=out)
+        _emit(args, out, payload)
     return 0
 
 
@@ -88,53 +103,21 @@ def _cmd_torsion(args, out) -> int:
         raise ValueError(f"not a changemaker with sigma_0 = 1: {list(sig)}")
     cm = ChangemakerVector(sig)
     g = genus_from_changemaker(cm)
-    staircase = list(torsion_staircase(cm))
-    if args.format == "csv":
-        print("sigma,p,g,t", file=out)
-        print(
-            f"{' '.join(map(str, sig))},{cm.p},{g},{' '.join(map(str, staircase))}",
-            file=out,
-        )
-    else:
-        print(
-            _dump(
-                {
-                    "schema": SCHEMA,
-                    "command": "torsion",
-                    "sigma": list(sig),
-                    "p": cm.p,
-                    "g": g,
-                    "t": staircase,
-                }
-            ),
-            file=out,
-        )
+    t = list(torsion_staircase(cm))
+    _emit(args, out, {"sigma": list(sig), "p": cm.p, "g": g, "t": t})
     return 0
 
 
-_CSV_COLUMNS = (
-    "rank,sigma,p,g,k,classification,linear_p,linear_q,torsion,exponents,"
-    "theorem1_applicable,theorem1_verified"
-)
-
-
-def _record_csv(rec) -> str:
-    lp, lq = (rec.linear if rec.linear is not None else ("", ""))
-    fields = [
-        rec.rank,
-        " ".join(map(str, rec.sigma)),
-        rec.p,
-        rec.g,
-        rec.k if rec.k is not None else "",
-        rec.classification,
-        lp,
-        lq,
-        " ".join(map(str, rec.torsion)),
-        " ".join(map(str, rec.exponents)) if rec.exponents is not None else "",
-        rec.theorem1_applicable,
-        rec.theorem1_verified if rec.theorem1_verified is not None else "",
-    ]
-    return ",".join(str(f) for f in fields)
+def _census_row(rec) -> str:
+    """A census record's CSV row: its to_dict() without kind, with linear
+    split into its p and q cells."""
+    cells = []
+    for name, value in rec.to_dict().items():
+        if name == "linear":
+            cells += value or (None, None)
+        elif name != "kind":
+            cells.append(value)
+    return _csv_row(cells)
 
 
 def _cmd_census(args, out) -> int:
@@ -142,54 +125,31 @@ def _cmd_census(args, out) -> int:
     acc = census_mod.SummaryAccumulator()
     csv = args.format == "csv"
     if csv:
-        print(_CSV_COLUMNS, file=out)
+        out(_CSV_COLUMNS)
     else:
-        print(
-            _dump(
-                {
-                    "schema": SCHEMA,
-                    "kind": "header",
-                    "command": "census",
-                    "max_rank": args.max_rank,
-                    "sigma_n": args.sigma_n,
-                }
-            ),
-            file=out,
-        )
+        _header(args, out, max_rank=args.max_rank, sigma_n=args.sigma_n)
     for rec in records:
         acc.add(rec)
-        if args.quiet:
-            continue
-        print(_record_csv(rec) if csv else _dump(rec.to_dict()), file=out)
+        if not args.quiet:
+            out(_census_row(rec) if csv else _dump(rec.to_dict()))
     summary = acc.as_dict()
     if csv:
-        print(f"# records={summary['records']}", file=out)
+        out(f"# records={summary['records']}")
         for name, count in summary["counts"].items():
-            print(f"# {name}={count}", file=out)
-        print(f"# lemma5_holds={str(summary['lemma5_holds']).lower()}", file=out)
-        print(f"# theorem1_holds={str(summary['theorem1_holds']).lower()}", file=out)
+            out(f"# {name}={count}")
+        out(f"# lemma5_holds={str(summary['lemma5_holds']).lower()}")
+        out(f"# theorem1_holds={str(summary['theorem1_holds']).lower()}")
     else:
-        print(_dump(summary), file=out)
+        out(_dump(summary))
     return 0
 
 
 def _cmd_verify(args, out) -> int:
     census_mod.check_rank_cap(args.max_rank)  # refuse before the header
-    print(
-        _dump(
-            {
-                "schema": SCHEMA,
-                "kind": "header",
-                "command": "verify",
-                "claim": args.claim,
-                "max_rank": args.max_rank,
-            }
-        ),
-        file=out,
-    )
-    emit = None if args.quiet else (lambda info: print(_dump(info), file=out))
+    _header(args, out, claim=args.claim, max_rank=args.max_rank)
+    emit = None if args.quiet else (lambda info: out(_dump(info)))
     result = census_mod.verify_claim(args.claim, args.max_rank, emit=emit)
-    print(
+    out(
         _dump(
             {
                 "kind": "verdict",
@@ -199,10 +159,17 @@ def _cmd_verify(args, out) -> int:
                 "counterexamples": result.counterexamples,
                 "holds": result.holds,
             }
-        ),
-        file=out,
+        )
     )
     return 0 if result.holds else 1
+
+
+# The flags a subcommand may take; each takes only those it reads.
+_FLAGS = {
+    "--format": {"choices": ("json", "csv"), "default": "json", "help": "output format"},
+    "--out": {"metavar": "FILE", "default": None, "help": "write to FILE"},
+    "--quiet": {"action": "store_true", "help": "suppress per-record/instance lines"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,55 +181,55 @@ def build_parser() -> argparse.ArgumentParser:
             "verification sweeps."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-    common.add_argument("--out", metavar="FILE", default=None, help="write to FILE")
-    common.add_argument(
-        "--quiet", action="store_true", help="suppress per-record/instance lines"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cf = sub.add_parser(
-        "cf", parents=[common], help="negative continued fraction of p/q"
-    )
+    def command(name, func, flags, summary):
+        cmd = sub.add_parser(name, help=summary)
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
+        cmd.set_defaults(func=func)
+        return cmd
+
+    tabular = ("--format", "--out")
+    p_cf = command("cf", _cmd_cf, tabular, "negative continued fraction of p/q")
     p_cf.add_argument("p", type=int)
     p_cf.add_argument("q", type=int)
-    p_cf.set_defaults(func=_cmd_cf)
 
-    p_gram = sub.add_parser(
+    p_gram = command(
         "gram",
-        parents=[common],
-        help="Gram matrix of a complement basis, or of a chain via --linear p q",
+        _cmd_gram,
+        tabular,
+        "Gram matrix of a complement basis, or of a chain via --linear p q",
     )
     p_gram.add_argument(
         "--linear", action="store_true", help="interpret the values as p q"
     )
     p_gram.add_argument("values", type=int, nargs="+")
-    p_gram.set_defaults(func=_cmd_gram)
 
-    p_torsion = sub.add_parser(
-        "torsion", parents=[common], help="torsion staircase of a changemaker"
+    p_torsion = command(
+        "torsion", _cmd_torsion, tabular, "torsion staircase of a changemaker"
     )
     p_torsion.add_argument("sigma", type=int, nargs="+")
-    p_torsion.set_defaults(func=_cmd_torsion)
 
-    p_census = sub.add_parser(
-        "census", parents=[common], help="enumerate changemakers with invariants"
+    p_census = command(
+        "census",
+        _cmd_census,
+        (*tabular, "--quiet"),
+        "enumerate changemakers with invariants",
     )
     p_census.add_argument("--max-rank", type=int, required=True, dest="max_rank")
     p_census.add_argument(
         "--sigma-n", type=int, default=None, dest="sigma_n", help="filter on sigma_n"
     )
-    p_census.set_defaults(func=_cmd_census)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run one exhaustive verification sweep"
+    p_verify = command(
+        "verify",
+        _cmd_verify,
+        ("--out", "--quiet"),
+        "run one exhaustive verification sweep",
     )
     p_verify.add_argument("claim", choices=census_mod.CLAIMS)
     p_verify.add_argument("--max-rank", type=int, required=True, dest="max_rank")
-    p_verify.set_defaults(func=_cmd_verify)
     return parser
 
 

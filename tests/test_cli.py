@@ -5,7 +5,8 @@ import pytest
 
 import cmkit.lattice
 import cmkit.torsion
-from cmkit.cli import main
+from cmkit import build_record
+from cmkit.cli import _CSV_COLUMNS, _census_row, main
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +144,14 @@ def test_gram_basis_choice_edges(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("values", [("0",), ("0", "0"), ("0", "0", "0", "0")])
+def test_gram_zero_sigma_exits_two(capsys, values):
+    code, out, err = run_cli(capsys, "gram", *values)
+    assert code == 2
+    assert out == ""
+    assert err == "error: sigma must be nonzero\n"
+
+
 def test_gram_csv(capsys):
     code, out, _ = run_cli(capsys, "gram", "--linear", "7", "5", "--format", "csv")
     assert out.splitlines() == ["-2,1,0", "1,-2,1", "0,1,-3"]
@@ -195,6 +204,30 @@ def test_census_csv(capsys):
     assert any(line.startswith("# records=8") for line in lines)
     data = [line for line in lines if not line.startswith("#") and not line.startswith("rank,")]
     assert len(data) == 8
+
+
+@pytest.mark.parametrize(
+    "sigma, row",
+    [
+        ((1, 2, 2), "2,1 2 2,9,2,1,family_1_2s,9,2,1 1 0,2 1,False,"),
+        ((1, 1, 3), "2,1 1 3,11,3,,sigma_n_ge_3,,,1 1 1 0,3 2,False,"),
+    ],
+    ids=["tail_of_2s", "sigma_n_ge_3"],
+)
+def test_census_csv_columns_come_from_the_record(sigma, row):
+    # a tail-of-2s record (k and linear set) and a sigma_n >= 3 one (both
+    # None): the header names to_dict()'s fields, kind dropped and linear
+    # split in two, so a field added to the record must reach the header
+    rec = build_record(sigma)
+    columns = []
+    for name in rec.to_dict():
+        if name == "linear":
+            columns += ["linear_p", "linear_q"]
+        elif name != "kind":
+            columns.append(name)
+    assert _CSV_COLUMNS.split(",") == columns
+    assert _census_row(rec) == row
+    assert len(row.split(",")) == len(columns)
 
 
 def test_census_out_file(tmp_path, capsys):
@@ -334,6 +367,38 @@ def test_verify_rejects_unknown_claim(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "lemma6", "--max-rank", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("census", "--max-rank", "11"), 3),  # capacity
+        (("torsion", "1", "3"), 2),  # bad input
+    ],
+)
+def test_refused_request_leaves_out_file_untouched(tmp_path, capsys, argv, exit_code):
+    target = tmp_path / "kept.txt"
+    target.write_text("earlier output\n")
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == exit_code
+    assert out == ""
+    assert target.read_text() == "earlier output\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "lemma5", "--max-rank", "2", "--format", "csv"),
+        ("cf", "9", "2", "--quiet"),
+        ("gram", "1", "2", "--quiet"),
+        ("torsion", "1", "2", "--quiet"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_subcommand_exits_two(capsys):

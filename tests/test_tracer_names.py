@@ -4,7 +4,10 @@ second, rather than only in the benchmark's own tests."""
 
 from pathlib import Path
 
+import pytest
+
 import cmkit.census
+import cmkit.cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -16,3 +19,28 @@ def test_tracer_installs_on_the_current_names(monkeypatch):
     with Tracer().installed():
         pass
     assert isinstance(cmkit.census.DEEP_CHECK_MAX_RANK, int)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cf", "9", "2"),
+        ("torsion", "1", "2", "2"),
+        ("gram", "--linear", "7", "5"),
+        ("census", "--max-rank", "2"),
+        ("verify", "lemma5", "--max-rank", "3"),
+    ],
+)
+def test_every_json_line_goes_through_dump(monkeypatch, capsys, argv):
+    # the tracer counts cli.lines and cli.bytes on cli._dump: each JSON line
+    # must be one call of it, and CSV output none
+    calls = []
+    dump = cmkit.cli._dump
+    monkeypatch.setattr(cmkit.cli, "_dump", lambda obj: calls.append(obj) or dump(obj))
+    assert cmkit.cli.main(list(argv)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == len(lines) > 0
+    if argv[0] != "verify":
+        calls.clear()
+        assert cmkit.cli.main([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out and calls == []
