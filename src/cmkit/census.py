@@ -16,15 +16,15 @@ from .changemaker import (
 )
 from .errors import CapacityError
 from .graphs import intersection_graph, leading_ones, orthogonal_basis, standard_basis
-from .lattice import gram_matrix, inner_product
+from .lattice import gram_matrix
 from .linear import gerstein_isomorphic, recognize_linear
 from .torsion import (
     TorsionSequence,
     exponents_from_torsion,
     genus_from_changemaker,
-    lemma4_witness,
-    torsion_at_most,
+    torsion_at_most,  # not called here; bench/tracing.py wraps census.torsion_at_most
     torsion_staircase,
+    _witness_coords,
 )
 
 CENSUS_MAX_RANK = 10
@@ -86,15 +86,15 @@ def _exponents(staircase) -> tuple[int, ...] | None:
         return None
 
 
-def _theorem1_conclusions(cm, g: int, exponents, linear) -> tuple[bool, bool, bool]:
+def _theorem1_conclusions(p: int, g: int, exponents, linear) -> tuple[bool, bool, bool]:
     """(torus match, p test, verdict) of theorem 1's conclusions for a chain
     complement linear = (p, q): the exponents are the ladder (g, ..., 1),
     p is 4g + 1 or 4g + 3, and the verdict adds that (p, q) is
     Gerstein-equivalent to (4g + 1, g) or (4g + 3, 3g + 2) respectively."""
     torus_ok = exponents == tuple(range(g, 0, -1))
-    p_ok = cm.p in (4 * g + 1, 4 * g + 3)
-    q = g if cm.p == 4 * g + 1 else 3 * g + 2
-    return torus_ok, p_ok, torus_ok and p_ok and gerstein_isomorphic(*linear, cm.p, q)
+    p_ok = p in (4 * g + 1, 4 * g + 3)
+    q = g if p == 4 * g + 1 else 3 * g + 2
+    return torus_ok, p_ok, torus_ok and p_ok and gerstein_isomorphic(*linear, p, q)
 
 
 def _tail_of_2s(cm: ChangemakerVector):
@@ -143,7 +143,7 @@ def build_record(sigma) -> CensusRecord:
     applicable = g >= 3 and torsion[g - 2] == 1 and torsion[g - 3] >= 2
     verified: bool | None = None
     if applicable and linear is not None:
-        verified = _theorem1_conclusions(cm, g, exponents, linear)[2]
+        verified = _theorem1_conclusions(cm.p, g, exponents, linear)[2]
     return CensusRecord(
         sigma=sig,
         p=cm.p,
@@ -229,32 +229,65 @@ class VerificationResult:
         return not self.counterexamples
 
 
-def _lemma4_instance(sig: tuple[int, ...]) -> dict:
+def _torsion_le_1(state: tuple[int, int, int, int], i: int) -> bool:
+    """t_i <= 1 for the changemaker whose walk state is (total, p, low,
+    level1), read off the carried level1 bitset (extend_signed_sums).
+
+    t_i <= 1 iff some characteristic vector of level <= 1 has its sum
+    x = p - 2i mod 2p.  Every such sum lies in [-3 total, 3 total] and
+    sits at bit (x + 3 total)/2, so one probe per representative of
+    p - 2i in that interval decides it: u = x + 3 total runs over the
+    u = p - 2i + 3 total mod 2p in [0, 6 total], and every such u is even,
+    as p = total mod 2 (v^2 = v mod 2) and 2p is even.
+    """
+    total, p, _low, level1 = state
+    for u in range((p - 2 * i + 3 * total) % (2 * p), 6 * total + 1, 2 * p):
+        if level1 >> (u >> 1) & 1:
+            return True
+    return False
+
+
+def _lemma4_instance(sig: tuple[int, ...], state: tuple[int, int, int, int]) -> dict:
     """Full instance record, the one place the witness is checked: its
-    level, its pairing with sigma recomputed through inner_product, and
-    t_{g-3} <= 1 decided by torsion_at_most on one signed-sum bitset."""
-    cm = ChangemakerVector(sig)
-    g = genus_from_changemaker(cm)
-    witness = lemma4_witness(cm)
-    pairing = inner_product(witness.coords, sig)
-    identity_ok = cm.p + pairing == 2 * g - 6
-    torsion_ok = torsion_at_most(cm, g - 3, 1)
+    level, its pairing with sigma and t_{g-3} <= 1 on the carried bitset.
+
+    sig and state come from the enumeration walk, so sig is a changemaker
+    and state its (total, p, low, level1): the validation in
+    ChangemakerVector, CharacteristicVector and inner_product would only
+    re-prove that, and the witness's coordinates are odd by construction.
+    The witness comes from the constructor lemma4_witness uses; its level
+    (from sum(c^2)) and its pairing are recomputed here.
+    """
+    total, p = state[:2]
+    g = (p - total) // 2
+    witness = _witness_coords(sig)
+    level = (sum([c * c for c in witness]) - len(witness)) // 8  # every c is odd
+    pairing = -sum([c * v for c, v in zip(witness, sig)])  # <c, sigma> in -Z^(n+1)
+    identity_ok = p + pairing == 2 * g - 6
+    torsion_ok = _torsion_le_1(state, g - 3)
     return {
         "kind": "instance",
         "claim": "lemma4",
         "sigma": list(sig),
-        "p": cm.p,
+        "p": p,
         "g": g,
-        "witness": list(witness.coords),
-        "level": witness.level,
+        "witness": list(witness),
+        "level": level,
         "identity_ok": identity_ok,
         "torsion_le_1": torsion_ok,
-        "ok": witness.level == 1 and identity_ok and torsion_ok,
+        "ok": level == 1 and identity_ok and torsion_ok,
     }
 
 
-#: Through this rank the sweeps run the full object-level checks, vector
-#: by vector, with the independent bitset torsion check.  Above it
+def _with_state(rank: int, prefix: tuple[int, ...] = (1,)) -> Iterator[tuple]:
+    """(sigma, state) for every completion of prefix at this rank, state
+    = (total, p, low, level1) as carried by the enumeration walk."""
+    for item in iter_changemakers_with_sums(rank, prefix=prefix, signed_sums=True):
+        yield item[0], item[1:]
+
+
+#: Through this rank the sweeps run the full instance checks, vector by
+#: vector, on the signed-sum bitsets the walk carries.  Above it
 #: lemma4 (quiet) and theorem1 walk prefixes instead (see _lemma4_walk and
 #: _theorem1_walk): one witness check per prefix settles the whole block
 #: of its completions.
@@ -265,14 +298,19 @@ def _lemma4_ok(sig: tuple[int, ...], total: int, sumsq: int) -> bool:
     """Lean witness check: does greedy change pay sigma_t - 3 from the
     entries below t, the first index with sigma_t >= 3?
 
-    The greedy step is the only content.  When it pays, the witness is +1
-    off the greedy set, -1 on it and 3 at t, so it has level 1; its pairing
-    with sigma is -(total + 6) and 2g = sumsq - total = sum of v(v - 1) is
-    even for every changemaker, so the identity p + pairing == 2g - 6 that
+    On a changemaker prefix it always pays.  The entries below t are
+    k >= 1 ones and m twos, so sigma_t <= k + 2m + 1 leaves at most
+    k + 2m - 2 to pay.  Greedy from the top takes twos while 2 or more is
+    left: from an amount >= 2m it takes every two and leaves at most k - 2
+    for the ones, and from a smaller amount it leaves 0 or 1, which a one
+    pays.  When it pays, the witness is +1 off the greedy set, -1 on it
+    and 3 at t, so it has level 1; its pairing with sigma is
+    -(total + 6) and 2g = sumsq - total = sum of v(v - 1) is even for
+    every changemaker, so the identity p + pairing == 2g - 6 that
     certifies t_{g-3} <= 1 holds by algebra and is not re-tested here.
-    _lemma4_instance recomputes the real pairing from the library witness
-    on the deep path.  total and sumsq are unused; they stay in the
-    signature because bench/tracing.py wraps this function with a
+    _lemma4_instance recomputes the real pairing from the same greedy
+    constructor on the deep path.  total and sumsq are unused; they stay
+    in the signature because bench/tracing.py wraps this function with a
     three-argument wrapper and its drain replays the sampled
     (sigma, total, sumsq) triples.
 
@@ -292,7 +330,7 @@ def _lemma4_ok(sig: tuple[int, ...], total: int, sumsq: int) -> bool:
     return not rem
 
 
-def _lemma4_walk(rank: int, settle) -> Iterator[tuple[int, ...]]:
+def _lemma4_walk(rank: int, settle) -> Iterator[tuple]:
     """Quiet lemma4: every vector at or below DEEP_CHECK_MAX_RANK.  Above
     it the walk stops at each vector's first entry >= 3.  The prefix
     sigma_0..sigma_t is itself a sigma_0 = 1 changemaker and _lemma4_ok
@@ -303,7 +341,7 @@ def _lemma4_walk(rank: int, settle) -> Iterator[tuple[int, ...]]:
     whose entries are all <= 2 are not instances and are skipped.
     """
     if rank <= DEEP_CHECK_MAX_RANK:
-        yield from iter_changemakers(rank)
+        yield from _with_state(rank)
         return
     memo: dict = {}
     for prefix, total, sumsq in iter_changemakers_with_sums(rank, stop_at=3):
@@ -312,8 +350,7 @@ def _lemma4_walk(rank: int, settle) -> Iterator[tuple[int, ...]]:
         if _lemma4_ok(prefix, total, sumsq):
             settle(count_completions(rank + 1 - len(prefix), prefix[-1], total, memo))
         else:
-            block = iter_changemakers_with_sums(rank, prefix=prefix)
-            failed = [_lemma4_instance(sig) for sig, _, _ in block]
+            failed = [_lemma4_instance(*item) for item in _with_state(rank, prefix)]
             settle(len(failed), failed)
 
 
@@ -337,29 +374,32 @@ def _check_lemma5(sig: tuple[int, ...]) -> dict:
     }
 
 
-def _lemma5_walk(rank: int, settle) -> Iterator[tuple[int, ...]]:
-    """The changemakers of one rank that end in 2.  A nondecreasing
-    changemaker with sigma_0 = 1 ends in 2 iff it is (1^k, 2^m) with
-    k, m >= 1; k falling from rank to 1 is lexicographic order."""
+def _lemma5_walk(rank: int, settle) -> Iterator[tuple]:
+    """The changemakers of one rank that end in 2, with no state: lemma5
+    reads sigma alone.  A nondecreasing changemaker with sigma_0 = 1 ends
+    in 2 iff it is (1^k, 2^m) with k, m >= 1; k falling from rank to 1 is
+    lexicographic order."""
     for k in range(rank, 0, -1):
-        yield (1,) * k + (2,) * (rank + 1 - k)
+        yield (1,) * k + (2,) * (rank + 1 - k), None
 
 
-def _check_theorem1(sig: tuple[int, ...]) -> dict | None:
-    cm = ChangemakerVector(sig)
-    g = genus_from_changemaker(cm)
+def _check_theorem1(sig: tuple[int, ...], state: tuple[int, int, int, int]) -> dict | None:
+    """The instance record for sigma, or None when the hypothesis fails.
+    As in _lemma4_instance, sig and its state (total, p, low, level1) come
+    from the enumeration walk and are trusted."""
+    total, p = state[:2]
+    g = (p - total) // 2
     if g < 3:
         return None
     # Hypothesis filter on the staircase: t_{g-2} = 1 and t_{g-3} >= 2.
-    # t_{g-2} > 0: p - 2(g-2) = |sigma|_1 + 4 is no +-1 sum mod 2p, as 2p > 2|sigma|_1 + 4
-    if torsion_at_most(cm, g - 3, 1) or not torsion_at_most(cm, g - 2, 1):
+    if _torsion_le_1(state, g - 3) or not _torsion_le_1(state, g - 2):
         return None
-    linear = recognize_linear(gram_matrix(orthogonal_basis(sig)), max_rank=cm.rank)
+    linear = recognize_linear(gram_matrix(orthogonal_basis(sig)), max_rank=len(sig) - 1)
     info = {
         "kind": "instance",
         "claim": "theorem1",
         "sigma": list(sig),
-        "p": cm.p,
+        "p": p,
         "g": g,
         "linear": list(linear) if linear is not None else None,
     }
@@ -367,8 +407,8 @@ def _check_theorem1(sig: tuple[int, ...]) -> dict | None:
         # no linear complement: the statement says nothing about this sigma
         info.update({"vacuous": True, "ok": True})
         return info
-    exponents = _exponents(torsion_staircase(cm))
-    torus_ok, p_ok, ok = _theorem1_conclusions(cm, g, exponents, linear)
+    exponents = _exponents(torsion_staircase(sig))
+    torus_ok, p_ok, ok = _theorem1_conclusions(p, g, exponents, linear)
     info.update(
         {
             "exponents": list(exponents) if exponents is not None else None,
@@ -381,30 +421,31 @@ def _check_theorem1(sig: tuple[int, ...]) -> dict | None:
     return info
 
 
-def _theorem1_walk(rank: int, settle) -> Iterator[tuple[int, ...]]:
+def _theorem1_walk(rank: int, settle) -> Iterator[tuple]:
     """Every vector at or below DEEP_CHECK_MAX_RANK.  Above it, as in
     _lemma4_walk, a prefix that passes _lemma4_ok stands for its block,
     which is skipped: the validated witness certifies t_{g-3} <= 1 for
     every completion, killing the hypothesis t_{g-3} >= 2 without any
     scan.  The completions of a failing prefix and the vectors whose
-    entries are all <= 2 are yielded in order, for the honest staircase
-    filter of _check_theorem1."""
+    entries are all <= 2 are yielded in order, with their states, for the
+    honest staircase filter of _check_theorem1."""
     if rank <= DEEP_CHECK_MAX_RANK:
-        yield from iter_changemakers(rank)
+        yield from _with_state(rank)
         return
-    for prefix, total, sumsq in iter_changemakers_with_sums(rank, stop_at=3):
+    for item in iter_changemakers_with_sums(rank, stop_at=3, signed_sums=True):
+        prefix, state = item[0], item[1:]
         if prefix[-1] < 3:
-            yield prefix
-        elif not _lemma4_ok(prefix, total, sumsq):
-            yield from (sig for sig, _, _ in iter_changemakers_with_sums(rank, prefix=prefix))
+            yield prefix, state
+        elif not _lemma4_ok(prefix, *state[:2]):
+            yield from _with_state(rank, prefix)
 
 
 def _run_sweep(claim: str, max_rank: int, walk, check, emit) -> VerificationResult:
     """The sweep loop of every claim.
 
-    For each rank, walk(rank, settle) yields vectors sigma in
-    lexicographic order, and check(sigma) returns the instance record, or
-    None when sigma is not an instance; a record
+    For each rank, walk(rank, settle) yields pairs (sigma, state) in
+    lexicographic order of sigma, and check(sigma, state) returns the
+    instance record, or None when sigma is not an instance; a record
     whose "ok" is false is a counterexample.  A walk that decides a block
     of vectors at once reports it as settle(count, failures): count
     instances, of which the records in failures, in order, are the
@@ -419,8 +460,8 @@ def _run_sweep(claim: str, max_rank: int, walk, check, emit) -> VerificationResu
         bad.extend(failures)
 
     for rank in range(1, max_rank + 1):
-        for sig in walk(rank, settle):
-            info = check(sig)
+        for sig, state in walk(rank, settle):
+            info = check(sig, state)
             if info is None:
                 continue
             instances += 1
@@ -450,10 +491,10 @@ def verify_claim(
     # sweep that emits them walks every vector
     walk, check = {
         "lemma4": (
-            _lemma4_walk if emit is None else lambda rank, settle: iter_changemakers(rank),
-            lambda sig: _lemma4_instance(sig) if sig[-1] >= 3 else None,
+            _lemma4_walk if emit is None else lambda rank, settle: _with_state(rank),
+            lambda sig, state: _lemma4_instance(sig, state) if sig[-1] >= 3 else None,
         ),
-        "lemma5": (_lemma5_walk, _check_lemma5),
+        "lemma5": (_lemma5_walk, lambda sig, _state: _check_lemma5(sig)),
         "theorem1": (_theorem1_walk, _check_theorem1),
     }[claim]
     return _run_sweep(claim, max_rank, walk, check, emit)

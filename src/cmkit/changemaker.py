@@ -128,14 +128,23 @@ def subset_representation(sigma, target: int) -> tuple[int, ...]:
     cm = as_changemaker(sigma)
     if not 0 <= target <= cm.one_norm:
         raise ValueError(f"target {target} outside [0, {cm.one_norm}]")
+    picked = _greedy_change(cm.sigma, target)
+    if sum(cm.sigma[k] for k in picked) != target:
+        raise AssertionError("greedy change-making failed on a changemaker")
+    return picked
+
+
+def _greedy_change(sig: tuple[int, ...], target: int) -> tuple[int, ...]:
+    """The indices (ascending) greedy change-making picks to pay target
+    from sig, a trusted tuple: from the largest index down, take every
+    nonzero entry no larger than what is left.  Whether they pay target
+    in full is the caller's to check."""
     rem = target
     picked = []
-    for k in range(len(cm.sigma) - 1, -1, -1):
-        if 0 < cm.sigma[k] <= rem:
+    for k in range(len(sig) - 1, -1, -1):
+        if 0 < sig[k] <= rem:
             picked.append(k)
-            rem -= cm.sigma[k]
-    if rem:
-        raise AssertionError("greedy change-making failed on a changemaker")
+            rem -= sig[k]
     return tuple(reversed(picked))
 
 
@@ -144,18 +153,41 @@ def iter_changemakers(rank: int) -> Iterator[tuple[int, ...]]:
     return (sig for sig, _, _ in iter_changemakers_with_sums(rank))
 
 
+def extend_signed_sums(low: int, level1: int, v: int) -> tuple[int, int]:
+    """The signed-sum bitsets of sigma + (v,) from those of sigma.
+
+    low holds the sums sum(c_j sigma_j) over c in {+-1}^len(sigma), and
+    level1 those over the c with every c_j = +-1 but at most one
+    c_j = +-3: the characteristic vectors of level <= 1, since
+    sum(c_j^2) = len(sigma) + 8k.  A sum x is stored at bit (x + 3T)/2,
+    T = |sigma|_1: |x| <= T + 2 max(sigma) <= 3T, and x = T mod 2 as
+    every c_j is odd, so the bit is an integer in [0, 3T].
+
+    Appending v raises the offset 3T by 3v and adds cv to each sum, so a
+    sum at bit b moves to bit b + (3v + cv)/2.  For c = +-1 that is b + v
+    or b + 2v, from low into low and from level1 into level1.  For
+    c = +-3 it is b or b + 3v, from low into level1 only, as the new
+    coordinate is then the one +-3.  The empty vector has the one sum 0,
+    at bit 0, so folding this step from (1, 1) over sigma gives its pair.
+    """
+    return low << v | low << 2 * v, level1 << v | level1 << 2 * v | low | low << 3 * v
+
+
 def iter_changemakers_with_sums(
     rank: int,
     *,
     prefix: tuple[int, ...] = (1,),
     stop_at: int | None = None,
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    signed_sums: bool = False,
+) -> Iterator[tuple]:
     """(sigma, sum, sum of squares) for the changemakers with sigma_0 = 1
     in -Z^(rank+1), in lexicographic order: the one enumeration walk.
 
     The running sums come for free from the enumeration tree; the prefix
     walks of the verification sweeps read the prefix total off them for
-    count_completions.
+    count_completions.  With signed_sums, each item also carries the two
+    bitsets (low, level1) of extend_signed_sums, one step per tree node,
+    for the sweeps' deep checks.
 
     prefix restricts the walk to the completions of a sigma_0 = 1
     changemaker of length at most rank + 1.  With stop_at, a vector is cut
@@ -173,20 +205,28 @@ def iter_changemakers_with_sums(
     last = rank + 1
     sig = list(prefix) + [1] * (last - len(prefix))
 
-    def extend(i: int, total: int, sumsq: int):
+    # sums is () without signed_sums, so `sums and ...` carries no bitsets
+    def extend(i: int, total: int, sumsq: int, sums: tuple):
         if i == last:
-            yield tuple(sig), total, sumsq
+            yield (tuple(sig), total, sumsq, *sums)
             return
         lo = sig[i - 1]
         hi = total + 1
         top = hi if stop_at is None else min(hi, stop_at - 1)
-        for v in range(lo, top + 1):
-            sig[i] = v
-            yield from extend(i + 1, total + v, sumsq + v * v)
-        for v in range(max(lo, top + 1), hi + 1):
-            yield (*sig[:i], v), total + v, sumsq + v * v
+        for v in range(lo, hi + 1):
+            child = sums and extend_signed_sums(*sums, v)
+            if v <= top:
+                sig[i] = v
+                yield from extend(i + 1, total + v, sumsq + v * v, child)
+            else:
+                yield ((*sig[:i], v), total + v, sumsq + v * v, *child)
 
-    yield from extend(len(prefix), sum(prefix), sum(v * v for v in prefix))
+    sums: tuple = ()
+    if signed_sums:
+        sums = (1, 1)
+        for v in prefix:
+            sums = extend_signed_sums(*sums, v)
+    yield from extend(len(prefix), sum(prefix), sum(v * v for v in prefix), sums)
 
 
 def count_completions(left: int, last: int, total: int, memo: dict) -> int:

@@ -38,7 +38,7 @@ from .changemaker import (
     ChangemakerVector,
     CharacteristicVector,
     as_changemaker,
-    subset_representation,
+    _greedy_change,
 )
 from .errors import CapacityError
 
@@ -430,12 +430,18 @@ def lemma4_witness(sigma) -> CharacteristicVector:
     identity are not re-checked here; the lemma4 sweep's instance record
     decides both.
     """
-    cm = as_changemaker(sigma)
-    sig = cm.sigma
-    t = next((idx for idx, v in enumerate(sig) if v >= 3), None)
-    if t is None:
+    return CharacteristicVector(_witness_coords(as_changemaker(sigma).sigma))
+
+
+def _witness_coords(sig: tuple[int, ...]) -> tuple[int, ...]:
+    """The coordinates of lemma4_witness for sig, a trusted tuple."""
+    for t, v in enumerate(sig):
+        if v >= 3:
+            break
+    else:
         raise ValueError("witness inapplicable: no entry >= 3")
-    chosen = set(subset_representation(cm, sig[t] - 3))
-    coords = [-1 if j in chosen else 1 for j in range(len(sig))]
+    coords = [1] * len(sig)
+    for j in _greedy_change(sig, v - 3):
+        coords[j] = -1
     coords[t] = 3
-    return CharacteristicVector(tuple(coords))
+    return tuple(coords)

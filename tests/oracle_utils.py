@@ -5,7 +5,10 @@ arithmetic for torus-knot Alexander coefficients, itertools-based signed
 sums, a naive recursive determinant and the leading principal minors built
 on it, a brute-force odd-vector cost table, a residue-only odd-vector cost
 DP, an ascending characteristic-level scan over odd-square multisets and a
-short-vector descent over Fractions.
+short-vector descent over Fractions.  The lemma4 and theorem1 sweeps'
+object-level route (validated ChangemakerVector, lemma4_witness,
+inner_product and torsion_at_most) is kept here as the reference for the
+sweeps' records, which read the enumeration walk's carried bitsets.
 """
 
 import math
@@ -13,6 +16,15 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from cmkit import (
+    ChangemakerVector,
+    genus_from_changemaker,
+    inner_product,
+    lemma4_witness,
+    torsion_at_most,
+)
+from cmkit.changemaker import extend_signed_sums
 
 
 def poly_mul(a, b):
@@ -260,3 +272,42 @@ def short_vectors_fraction(gram, norm):
 
     descend(n - 1, Fraction(norm))
     return out
+
+
+def walk_state(sig):
+    """(total, p, low, level1) of sigma, the state the enumeration walk
+    carries, folded from the empty vector by the walk's own step."""
+    sums = (1, 1)
+    for v in sig:
+        sums = extend_signed_sums(*sums, v)
+    return (sum(sig), sum(v * v for v in sig), *sums)
+
+
+def lemma4_record_by_objects(sig):
+    """The lemma4 instance record through validated objects: the witness
+    from lemma4_witness, its pairing through inner_product and
+    t_{g-3} <= 1 from torsion_at_most's own bitset."""
+    cm = ChangemakerVector(sig)
+    g = genus_from_changemaker(cm)
+    witness = lemma4_witness(cm)
+    identity_ok = cm.p + inner_product(witness.coords, sig) == 2 * g - 6
+    torsion_ok = torsion_at_most(cm, g - 3, 1)
+    return {
+        "kind": "instance",
+        "claim": "lemma4",
+        "sigma": list(sig),
+        "p": cm.p,
+        "g": g,
+        "witness": list(witness.coords),
+        "level": witness.level,
+        "identity_ok": identity_ok,
+        "torsion_le_1": torsion_ok,
+        "ok": witness.level == 1 and identity_ok and torsion_ok,
+    }
+
+
+def theorem1_hypothesis_by_objects(sig):
+    """g >= 3, t_{g-2} = 1 and t_{g-3} >= 2, decided by torsion_at_most."""
+    cm = ChangemakerVector(sig)
+    g = genus_from_changemaker(cm)
+    return g >= 3 and not torsion_at_most(cm, g - 3, 1) and torsion_at_most(cm, g - 2, 1)

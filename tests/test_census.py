@@ -1,15 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmkit.census as census
 import cmkit.changemaker
 import cmkit.torsion
 from cmkit import (
     CapacityError,
+    ChangemakerVector,
     SummaryAccumulator,
     build_record,
     run_census,
+    torsion_at_most,
     verify_claim,
 )
 from cmkit.census import (
@@ -24,6 +28,8 @@ from cmkit.census import (
 )
 from cmkit.changemaker import iter_changemakers, iter_changemakers_with_sums
 from cmkit.cli import main
+
+from oracle_utils import lemma4_record_by_objects, theorem1_hypothesis_by_objects, walk_state
 
 
 def test_build_record_family_one():
@@ -168,7 +174,7 @@ def test_verify_lemma5_instances_are_tail_two():
 
 def test_lemma5_walk_writes_every_tail_of_2s_vector():
     for rank in range(1, 7):
-        walked = list(census._lemma5_walk(rank, None))
+        walked = [sig for sig, _ in census._lemma5_walk(rank, None)]
         assert walked == [sig for sig in iter_changemakers(rank) if sig[-1] == 2]
 
 
@@ -198,11 +204,11 @@ def test_verify_rejects_bad_input():
 
 def test_lemma4_fast_path_agrees_with_instance_path():
     for rank in (2, 3, 4, 5):
-        for sig, total, sumsq in iter_changemakers_with_sums(rank):
+        for sig, *state in iter_changemakers_with_sums(rank, signed_sums=True):
             if sig[-1] < 3:
                 continue
-            lean = _lemma4_ok(sig, total, sumsq)
-            full = _lemma4_instance(sig)
+            lean = _lemma4_ok(sig, *state[:2])
+            full = _lemma4_instance(sig, tuple(state))
             assert lean == full["ok"] == True  # noqa: E712
 
 
@@ -228,14 +234,15 @@ def _per_vector_sweeps(rank):
         if sig[-1] >= 3:
             lemma4_instances += 1
             if not ok:
-                lemma4_bad.append(_lemma4_instance(sig))
+                lemma4_bad.append(_lemma4_instance(sig, walk_state(sig)))
         if not ok:
             theorem1_calls.append(sig)
     return lemma4_instances, lemma4_bad, theorem1_calls
 
 
 def _theorem1_instances(sigmas):
-    return [info for info in map(census._check_theorem1, sigmas) if info is not None]
+    infos = (census._check_theorem1(sig, walk_state(sig)) for sig in sigmas)
+    return [info for info in infos if info is not None]
 
 
 def test_prefix_sweeps_match_per_vector_enumeration(monkeypatch):
@@ -279,9 +286,9 @@ def test_failed_prefix_is_walked_vector_by_vector(monkeypatch):
     calls = []
     check = census._check_theorem1
 
-    def spy(sig):
+    def spy(sig, state):
         calls.append(sig)
-        return check(sig)
+        return check(sig, state)
 
     monkeypatch.setattr(census, "DEEP_CHECK_MAX_RANK", 0)
     monkeypatch.setattr(census, "_lemma4_ok", reject_prefix)
@@ -299,13 +306,13 @@ def test_failed_prefix_is_walked_vector_by_vector(monkeypatch):
         if sig[:3] == REJECTED_PREFIX
     ]
     assert len(completions) > 50
-    assert lemma4.counterexamples == [_lemma4_instance(sig) for sig in completions]
+    assert lemma4.counterexamples == [_lemma4_instance(sig, walk_state(sig)) for sig in completions]
     assert lemma4.instances == sum(n for n, _, _ in oracle)
 
     theorem1 = verify_claim("theorem1", max_rank)
     assert calls == expected_calls
     low_genus = [sig for sig in calls if (sum(v * v for v in sig) - sum(sig)) // 2 < 3]
-    assert low_genus and all(check(sig) is None for sig in low_genus)
+    assert low_genus and all(check(sig, walk_state(sig)) is None for sig in low_genus)
     assert [sig for sig in calls if sig[:3] == REJECTED_PREFIX] == completions
     assert theorem1.instances == len(_theorem1_instances(expected_calls))
 
@@ -313,12 +320,12 @@ def test_failed_prefix_is_walked_vector_by_vector(monkeypatch):
 def test_failed_witness_sub_check_is_a_counterexample_record(monkeypatch, capsys):
     # a wrong greedy set for (1, 2, 4): index 1 pays 2, not sigma_2 - 3 = 1,
     # so the witness (1, -1, 3) still has level 1 but misses the identity
-    representation = cmkit.torsion.subset_representation
+    representation = cmkit.torsion._greedy_change
 
     def wrong_for_124(sigma, target):
         return (1,) if tuple(sigma) == (1, 2, 4) else representation(sigma, target)
 
-    monkeypatch.setattr(cmkit.torsion, "subset_representation", wrong_for_124)
+    monkeypatch.setattr(cmkit.torsion, "_greedy_change", wrong_for_124)
     result = verify_claim("lemma4", 2)
     assert not result.holds
     (bad,) = result.counterexamples
@@ -347,3 +354,114 @@ def test_census_and_sweeps_agree_on_their_instances():
         tuple(info["sigma"]) for info in lemma5
     ]
     assert len(theorem1) == 6 and len(lemma5) == 15
+
+
+def test_lemma4_ok_holds_on_every_prefix():
+    # the greedy step always pays on a changemaker prefix (_lemma4_ok's
+    # docstring), so no block of the prefix walks can fail it
+    prefixes = [
+        (prefix, total, sumsq)
+        for rank in range(3, 11)
+        for prefix, total, sumsq in iter_changemakers_with_sums(rank, stop_at=3)
+        if prefix[-1] >= 3
+    ]
+    assert len(prefixes) == 1_482
+    assert all(_lemma4_ok(*item) for item in prefixes)
+
+
+def _carried_answers(state, i):
+    """(t_i <= 0, t_i <= 1) read off the carried bitsets: low probed by
+    the same layout as level1."""
+    total, p, low, _level1 = state
+    return census._torsion_le_1((total, p, low, low), i), census._torsion_le_1(state, i)
+
+
+def test_carried_bitsets_match_torsion_at_most_exhaustively():
+    cases = 0
+    for rank in range(1, 6):
+        for sig, *state in iter_changemakers_with_sums(rank, signed_sums=True):
+            assert tuple(state) == walk_state(sig)
+            cm = ChangemakerVector(sig)  # validated once, not once per call
+            for i in range(cm.p // 2 + 1):
+                expected = torsion_at_most(cm, i, 0), torsion_at_most(cm, i, 1)
+                assert _carried_answers(tuple(state), i) == expected, (sig, i)
+                cases += 1
+    assert cases == 399_341
+
+
+@st.composite
+def _high_rank_cases(draw):
+    sig = [1]
+    for _ in range(draw(st.integers(min_value=6, max_value=10))):
+        sig.append(draw(st.integers(min_value=sig[-1], max_value=1 + sum(sig))))
+    p = sum(v * v for v in sig)
+    indices = st.lists(st.integers(min_value=0, max_value=p // 2), min_size=1, max_size=8)
+    return tuple(sig), draw(indices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_high_rank_cases())
+def test_carried_bitsets_match_torsion_at_most_at_high_rank(case):
+    sig, indices = case
+    state = walk_state(sig)
+    g = (state[1] - state[0]) // 2
+    for i in {*indices, max(g - 3, 0), max(g - 2, 0)}:
+        expected = torsion_at_most(sig, i, 0), torsion_at_most(sig, i, 1)
+        assert _carried_answers(state, i) == expected, (sig, i)
+
+
+def test_sweep_records_match_the_object_route():
+    max_rank = 5
+    lemma4, theorem1 = [], []
+    verify_claim("lemma4", max_rank, emit=lemma4.append)
+    verify_claim("theorem1", max_rank, emit=theorem1.append)
+    vectors = [sig for rank in range(1, max_rank + 1) for sig in iter_changemakers(rank)]
+    assert lemma4 == [lemma4_record_by_objects(sig) for sig in vectors if sig[-1] >= 3]
+    assert len(lemma4) == 2_487
+    assert [tuple(info["sigma"]) for info in theorem1] == [
+        sig for sig in vectors if theorem1_hypothesis_by_objects(sig)
+    ]
+
+
+def test_every_checked_vector_gets_its_own_state(monkeypatch):
+    # the state reaches the deep path, the non-quiet lemma4 path, the
+    # prefix= blocks of a failed prefix and the all-<= 2 vectors above the
+    # deep rank
+    checked = []
+    for name in ("_lemma4_instance", "_check_theorem1"):
+        check = getattr(census, name)
+
+        def spy(sig, state, check=check):
+            checked.append((sig, state))
+            return check(sig, state)
+
+        monkeypatch.setattr(census, name, spy)
+    ok = census._lemma4_ok
+    monkeypatch.setattr(
+        census, "_lemma4_ok", lambda sig, *sums: sig[:3] != REJECTED_PREFIX and ok(sig, *sums)
+    )
+    for deep in (census.DEEP_CHECK_MAX_RANK, 0):
+        monkeypatch.setattr(census, "DEEP_CHECK_MAX_RANK", deep)
+        for claim in ("lemma4", "theorem1"):
+            verify_claim(claim, 5)
+        verify_claim("lemma4", 4, emit=lambda info: None)
+    blocks = {sig for sig, _ in checked if sig[:3] == REJECTED_PREFIX}
+    assert len(checked) > 5_000 and len(blocks) > 50
+    assert all(state == walk_state(sig) for sig, state in checked)
+
+
+def test_failed_torsion_sub_check_is_a_counterexample_record(monkeypatch, capsys):
+    # (1, 2, 4) is the one vector of rank <= 2 with |sigma|_1 = 7 and p = 21
+    probe = census._torsion_le_1
+    monkeypatch.setattr(
+        census, "_torsion_le_1", lambda state, i: state[:2] != (7, 21) and probe(state, i)
+    )
+    result = verify_claim("lemma4", 2)
+    (bad,) = result.counterexamples
+    assert bad["sigma"] == [1, 2, 4] and bad["witness"] == [-1, 1, 3]
+    assert bad["level"] == 1 and bad["identity_ok"] is True
+    assert bad["torsion_le_1"] is False and bad["ok"] is False
+
+    assert main(["verify", "lemma4", "--max-rank", "2", "--quiet"]) == 1
+    verdict = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert verdict["holds"] is False and verdict["counterexamples"] == [bad]
