@@ -7,22 +7,16 @@ coefficients are the weighted tail sums t_i = sum_{j>=1} j * a_{i+j}.
 
 Lattice side: for a changemaker sigma with |<sigma, sigma>| = p, t_i is
 the least level k such that some all-odd vector c with sum(c_j^2) =
-(n+1) + 8k satisfies sum(c_j sigma_j) = p - 2i (mod 2p).  The staircase
-comes from a min-cost dynamic program whose coordinate bound is grown
-until it provably covers every optimal solution, and torsion_at_most
-decides t_i <= 1 on one signed-sum bitset.  The dynamic program runs on
-the integer sums themselves while they fit in a window shorter than the
-modulus 2p (changemaker prefixes are small), folds that window once onto
-the residues, and finishes the remaining coordinates there; the fold
-commutes with every later update, so the result is the residue-only
-table.  It is symmetric under r -> -r, so it runs only the positive
-shifts of each coordinate and closes it with one mirror step.  Costs are
-int32 with the sentinel 2^30; a staircase whose cost cap n+1 + 8p, or
-the square of the largest coordinate bound it could need, does not fit
-below the sentinel, or whose p or first-pass work is past its measured
-capacity, is refused with CapacityError before any table is built.  Both
-are exact; the test suite plays them against an ascending scan over
-odd-square multisets, its reference oracle.
+(n+1) + 8k satisfies sum(c_j sigma_j) = p - 2i (mod 2p).  With sigma_0 = 1
+and genus g that level is a covering knapsack, t_i = min sum_j
+m_j(m_j+1)/2 over m_j >= 0 with sum_j m_j sigma_j >= g - i (the argument
+is at _min_costs), so a whole staircase is one int64 table over
+v = g - i in [0, g].  torsion_at_most decides t_i <= 1 on one signed-sum
+bitset, without the knapsack.  A staircase whose p or knapsack work is
+past its measured capacity is refused with CapacityError before any table
+is built.  The test suite plays both against two oracles built on the
+characteristic-vector definition itself: an ascending scan over
+odd-square multisets and a DP over the residues mod 2p.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -42,20 +35,21 @@ from .changemaker import (
 )
 from .errors import CapacityError
 
-_INF = 1 << 30
-#: Largest p a staircase is built for.  Measured on a 2-CPU machine:
-#: (1, 2, 4, ..., 512, 908, 908), p = 1,998,453, takes about 20 s and
-#: 110 MB; (1, 2, 4, ..., 2048), p = 5,592,405, took about 90 s and 250 MB.
-#: This cap bounds the memory; _STAIRCASE_MAX_WORK bounds the time.
-#: Below it the int32 limit checked next to it is out of reach (n+1 <= p,
-#: so the cost cap n+1 + 8p is at most 9p < 2^30).
-STAIRCASE_MAX_P = 2_000_000
-#: Largest first-pass DP work (cell updates, see _staircase_cached) a
-#: staircase is built for.  Same machine, start-up included, 0.9-1.5 ns a
-#: cell: (1, 2, 4, ..., 1024) 7.5e9 cells, 7.8 s; (1, 2, 4, ..., 512, 908,
-#: 908) 1.6e10, 20 s; (1, 1, 2, 4, ..., 256, 300^12) 2.4e10, 27 s; and
-#: (1, 1, 2, 4, ..., 256, 300^21) 8.6e10, 129 s, which this cap refuses.
-_STAIRCASE_MAX_WORK = 30_000_000_000
+#: Largest p a staircase is built for; it bounds the memory and the output,
+#: and _STAIRCASE_MAX_WORK bounds the time.  Measured end to end with the
+#: `cmkit torsion` command on a 2-CPU Intel Xeon machine:
+#: (1, 2, 4, ..., 512, 908, 908), p = 1,998,453, 4.6 s and 87 MB; and
+#: (1, 2, 4, ..., 2048), p = 5,592,405, 21 s, 192 MB and 18 MB of JSON.
+STAIRCASE_MAX_P = 6_000_000
+#: Largest knapsack work (the cell bound in _staircase_cached) a staircase
+#: is built for.  Same machine, the table alone, 0.2-1.2 ns per bound cell:
+#: (1, 2, 4, ..., 1024) 2.1e9, 2.4 s; (1, 2, 4, ..., 512, 908, 908) 5.1e9,
+#: 4.3 s; (1, 1, 2, 4, ..., 256, 300^21), rank 30, 2.8e10, 13 s;
+#: (1, 1, 2, 4, ..., 128, 200^49), rank 57, 6.2e10, 22 s;
+#: (1, 1, 2, 4, ..., 512, 512^15), rank 25, p = 4,281,686, 7.0e10, 28 s;
+#: and (1, 1, 2, 4, ..., 64, 100^199), rank 206, 2.6e11, 61 s, which this
+#: cap refuses.
+_STAIRCASE_MAX_WORK = 70_000_000_000
 
 
 @dataclass(frozen=True)
@@ -224,8 +218,8 @@ def _validate_index(cm, i: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Fast exact paths: one signed-sum bitset for levels 0 and 1, and a certified
-# min-cost dynamic program for whole staircases.
+# Fast exact paths: one signed-sum bitset for levels 0 and 1, and a covering
+# knapsack for whole staircases.
 
 
 def torsion_at_most(sigma, i: int, level: int) -> bool:
@@ -267,136 +261,72 @@ def torsion_at_most(sigma, i: int, level: int) -> bool:
     return False
 
 
-def _min_costs(sig: tuple[int, ...], modulus: int, bound: int) -> np.ndarray:
-    """dp[r] = min sum of squares over odd vectors with |entries| <= bound
-    and sum(c_j sigma_j) = r (mod modulus); unreachable entries hold _INF.
+def _min_costs(sig: tuple[int, ...], g: int) -> np.ndarray:
+    """table[v] = min sum_j T(m_j) over integers m_j >= 0 with
+    sum_j m_j sig_j >= v, for 0 <= v <= g, where T(m) = m(m+1)/2.  For a
+    changemaker with sigma_0 = 1 and genus g, table[g - i] = t_i.
 
-    Window phase: while it is shorter than the modulus, the DP runs on the
-    integer sums x themselves.  After coordinates 0..j every reachable
-    sum has |x| <= w = top * (sigma_0 + ... + sigma_j), top the largest
-    odd entry allowed, so dp lives on the window [-w, w] and a shift is a
-    plain slice with no wrap-around.  Fold: before the first coordinate
-    that would grow the window past the modulus (or after the last), the
-    window is placed onto the residues x mod modulus.  Taking the minimum
-    over a residue class commutes with the shift-by-a*s-plus-a^2 update,
-    so folding at any point gives exactly the residue-only DP; as the
-    window is at most the modulus long, each residue receives at most one
-    sum and the fold is a copy.  Cyclic phase: the remaining coordinates
-    run on the residues with wrap-around shifts.
+    Why.  An all-odd c has c_j = e_j(2m_j + 1) with e_j = +-1, and
+    sum c_j^2 = (n+1) + 8 sum_j T(m_j), so its level is sum_j T(m_j).  Put
+    M = sum_j m_j sigma_j and s = |sigma|_1, so p = s + 2g.  Lower bound:
+    every representative of p - 2i mod 2p has absolute value at least
+    p - 2i, as 0 <= p - 2i <= p, and |sum c_j sigma_j| <= s + 2M; so
+    M >= g - i.  Upper bound: take a cheapest m with M >= v = g - i and
+    let e = M - v.  Then e < sigma_j wherever m_j >= 1, or lowering m_j by
+    one would be cheaper and still cover v.  Let a be the first index of
+    the least value on the support.  The entries before a are smaller, so
+    off the support, and as a changemaker prefix their subset sums fill
+    [0, sigma_0 + ... + sigma_{a-1}], which contains [0, sigma_a - 1] and
+    so e.  Sign -1 on such a subset and +1 elsewhere gives the sum
+    s + 2M - 2e = p - 2i.  (An empty support has v = e = 0.)
 
-    Symmetry halves the shifts in both phases: dp starts symmetric under
-    x -> -x (only dp[0] = 0 is finite), and each coordinate offers the
-    shifts +a*s and -a*s at the same cost a^2, so by induction every dp is
-    symmetric, on the window as on the residues.  The -a*s candidate at x
-    is then dp[x + a*s] = dp[-x - a*s], the +a*s candidate at -x; so the
-    coordinate's result is the minimum of the +a*s candidates and their
-    mirror image.
-
-    Costs are int32.  Every stored value is <= _INF (each coordinate
-    starts from _INF and only takes minima), and every added cost is
-    <= bound^2, so no sum exceeds _INF + bound^2, which fits while
-    bound^2 < _INF; _staircase_cached checks that before calling.  A true
-    minimum >= _INF reads as unreachable, so callers must treat costs at
-    or above _INF as beyond their cap, which _staircase_cached does by
-    requiring its cost cap to stay below _INF.
+    The table.  The largest entry w_0 alone gives table[v] = T(ceil(v/w_0)).
+    Each further entry w, the k-th, takes table'[v] = min over m >= 0 of
+    T(m) + table[max(0, v - m*w)]; two facts bound the loop over m.
+    First, the clamp never wins: for v <= m*w the candidate is T(m), and
+    table[v] is already at most the seed's T(ceil(v/w_0)) <= T(m), as
+    w <= w_0.  So step m updates only v >= m*w and runs only while
+    m*w <= g.  Second, an exchange: moving one unit from w to an entry
+    w' >= w still covers v and changes the cost by m' + 1 - m, so every
+    cheapest cover has m <= m' + 1 for each of the k entries before w and
+    costs at least c(m) = T(m) + k*T(m - 1), which grows with m.  Every
+    candidate is nondecreasing in v, so table' is, and its largest entry
+    is its last; once c(m) exceeds that entry as updated so far (at least
+    its final value), every cheapest cover has fewer copies of w, and the
+    loop stops.  All entries stay at most T(ceil(g/w_0)), so int64 cannot
+    overflow for any p that fits in memory.
     """
-    top = bound if bound % 2 else bound - 1
-    window = np.zeros(1, dtype=np.int32)  # window[w + x] for |x| <= w
-    w = split = 0
-    while split < len(sig) and 2 * (w + top * sig[split]) < modulus:
-        s = sig[split]
-        grown = w + top * s
-        best = np.full(2 * grown + 1, _INF, dtype=np.int32)
-        buf = np.empty_like(window)
-        for a in range(1, bound + 1, 2):
-            lo = grown - w + a * s  # where x = -w lands after the shift
-            np.add(window, a * a, out=buf)
-            np.minimum(best[lo : lo + buf.size], buf, out=best[lo : lo + buf.size])
-        np.minimum(best, best[::-1], out=best)
-        window, w, split = best, grown, split + 1
-
-    dp = np.full(modulus, _INF, dtype=np.int32)
-    dp[: w + 1] = window[w:]
-    dp[modulus - w :] = window[:w]
-    del window
-    best = np.empty_like(dp)
-    buf = np.empty_like(dp)
-    for s in sig[split:]:
-        best.fill(_INF)
-        for a in range(1, bound + 1, 2):
-            cost = a * a
-            k = a * s % modulus
-            # buf = dp rotated right by k, plus cost
-            np.add(dp[: modulus - k], cost, out=buf[k:])
-            np.add(dp[modulus - k :], cost, out=buf[:k])
-            np.minimum(best, buf, out=best)
-        buf[1:] = best[:0:-1]  # buf[r] = best[-r mod modulus] for r >= 1
-        np.minimum(best[1:], buf[1:], out=best[1:])
-        dp, best = best, dp
-    return dp
-
-
-def _start_bound(g: int, n1: int) -> int:
-    """First coordinate bound of the certified loop: isqrt(4g + n+1), made
-    odd and at least 3.  The loop grows the bound as far as the costs it
-    finds require, so any start gives the same staircase; the start only
-    decides how often the loop recomputes."""
-    return max(3, math.isqrt(4 * g + n1)) | 1
+    first, *rest = sorted(sig, reverse=True)
+    copies = -(-np.arange(g + 1, dtype=np.int64) // first)
+    table = copies * (copies + 1) // 2
+    buf = np.empty_like(table)
+    for k, w in enumerate(rest, 1):
+        prev = table.copy()
+        m = 1
+        while m * w <= g and m * (m + 1) // 2 + k * (m * (m - 1) // 2) <= table[-1]:
+            n = g + 1 - m * w
+            np.add(prev[:n], m * (m + 1) // 2, out=buf[:n])
+            np.minimum(table[m * w :], buf[:n], out=table[m * w :])
+            m += 1
+    return table
 
 
 @lru_cache(maxsize=512)
 def _staircase_cached(cm: ChangemakerVector) -> tuple[int, ...]:
     sig, p, g = cm.sigma, cm.p, genus_from_changemaker(cm)
-    n1 = len(sig)
-    modulus = 2 * p
-    cost_cap = n1 + 8 * p  # level safety cap: k <= p
-    # Every cost <= cost_cap comes from entries <= isqrt(cost_cap - n1 + 1),
-    # so no bound past this one is ever needed; the loop never exceeds it.
-    largest_bound = (math.isqrt(cost_cap) + 2) | 1
-    if cost_cap >= _INF or largest_bound * largest_bound >= _INF:
-        raise CapacityError(
-            f"p = {p} is past the int32 staircase limit: the cost cap {cost_cap} "
-            f"and the squared bound {largest_bound ** 2} must stay below {_INF}"
-        )
     if p > STAIRCASE_MAX_P:
         raise CapacityError(f"p = {p} is past the staircase capacity p <= {STAIRCASE_MAX_P}")
-    bound = _start_bound(g, n1)
-    # The cells the first _min_costs pass updates, once per odd a <= bound:
-    # after coordinate j its table holds 2 * bound * (sigma_0 + ... +
-    # sigma_j) + 1 integer sums, until that would pass the modulus and it
-    # holds the modulus residues.
-    work = (bound + 1) // 2 * sum(min(2 * bound * s + 1, modulus) for s in accumulate(sig))
+    # _min_costs' own loop bound: the k-th entry after the largest runs
+    # steps m with (k+1) T(m-1) <= c(m) <= T(top), top = ceil(g / sigma_n),
+    # that is at most 1 + isqrt(top (top+1) / (k+1)) steps of <= g cells.
+    top = -(-g // sig[-1])
+    work = g * sum(1 + math.isqrt(top * (top + 1) // (k + 1)) for k in range(1, len(sig)))
     if work > _STAIRCASE_MAX_WORK:
         raise CapacityError(
-            f"the staircase of p = {p} at rank {n1 - 1} needs about {work} DP cell "
-            f"updates, past the staircase work capacity {_STAIRCASE_MAX_WORK}"
+            f"the staircase of p = {p} at rank {len(sig) - 1} needs up to {work} knapsack "
+            f"cell updates, past the staircase work capacity {_STAIRCASE_MAX_WORK}"
         )
-    needed = (p - 2 * np.arange(g + 1)) % modulus
-    while True:
-        costs = _min_costs(sig, modulus, bound)
-        picked = costs[needed]
-        if (picked < _INF).all():
-            worst = int(picked.max())
-            # In any optimal vector every other coordinate contributes at
-            # least 1, so entries are bounded by sqrt(cost - (n+1) + 1);
-            # once `bound` covers that, the dp values are provably minimal.
-            # At largest_bound they are minimal up to cost_cap, and a worst
-            # cost past it is a level past p, refused below.
-            required = min(math.isqrt(worst - n1 + 1), largest_bound)
-            if bound >= required:
-                if ((picked - n1) % 8).any():
-                    raise AssertionError("characteristic cost parity broken")
-                levels = (picked - n1) // 8
-                if (worst - n1) // 8 > p:
-                    raise CapacityError("torsion level exceeded the safety cap p")
-                return tuple(levels.tolist())
-            bound = required | 1
-        else:
-            if bound * bound > cost_cap:
-                raise CapacityError(
-                    "no characteristic vector within the level cap"
-                )
-            bound = (min(2 * bound + 1, math.isqrt(cost_cap) + 2)) | 1
+    return tuple(_min_costs(sig, g)[::-1].tolist())
 
 
 def torsion_staircase(sigma) -> tuple[int, ...]:

@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: exact polynomial
 arithmetic for torus-knot Alexander coefficients, itertools-based signed
 sums, a naive recursive determinant and the leading principal minors built
-on it, a brute-force odd-vector cost table, a residue-only odd-vector cost
+on it, a brute-force covering knapsack, a residue-only odd-vector cost
 DP, an ascending characteristic-level scan over odd-square multisets and a
 short-vector descent over Fractions.  The lemma4 and theorem1 sweeps'
 object-level route (validated ChangemakerVector, lemma4_witness,
@@ -116,27 +116,28 @@ def nondecreasing_sequences(max_sum, max_len):
     return out
 
 
-def min_odd_costs(sig, modulus, bound):
-    """Least sum(c_j^2) per residue of sum(c_j sigma_j) mod modulus, over
-    every odd vector c with |c_j| <= bound; unreached residues are absent."""
-    odd = [v for v in range(-bound, bound + 1) if v % 2]
-    best = {}
-    for c in product(odd, repeat=len(sig)):
-        r = sum(x * s for x, s in zip(c, sig)) % modulus
-        cost = sum(x * x for x in c)
-        if r not in best or cost < best[r]:
-            best[r] = cost
-    return best
+def min_covering_costs(sig, top):
+    """Least sum_j m_j(m_j+1)/2 over integers m_j >= 0 with
+    sum_j m_j sig_j >= v, for each 0 <= v <= top, by trying every m with
+    m_j <= ceil(top / sig_j): one more than that covers top on its own, at
+    a higher cost."""
+    best = {}  # least cost per covered amount, capped at top
+    for m in product(*(range(-(-top // s) + 1) for s in sig)):
+        cover = min(sum(a * s for a, s in zip(m, sig)), top)
+        cost = sum(a * (a + 1) // 2 for a in m)
+        best[cover] = min(cost, best.get(cover, cost))
+    return [min(c for amount, c in best.items() if amount >= v) for v in range(top + 1)]
 
 
 CYCLIC_INF = 1 << 62
 
 
 def min_costs_cyclic(sig, modulus, bound):
-    """The odd-vector cost table of min_odd_costs as an int64 array, by a
-    DP over the residues mod modulus alone: every coordinate shifts the
-    whole residue array, wrapping around.  Unreached residues hold
-    CYCLIC_INF or more.
+    """dp[r] = least sum(c_j^2) over odd vectors c with |c_j| <= bound and
+    sum(c_j sigma_j) = r (mod modulus), as an int64 array, by a DP over
+    the residues mod modulus alone: every coordinate shifts the whole
+    residue array, wrapping around.  Unreached residues hold CYCLIC_INF or
+    more.
 
     dp stays symmetric under r -> -r (it starts at dp[0] = 0, and each
     coordinate offers +a*s and -a*s at the same cost), so only the +a*s

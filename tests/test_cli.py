@@ -72,26 +72,26 @@ def test_torsion_rejects_non_changemaker(capsys):
 
 
 def test_torsion_past_int32_limit_exits_three(capsys, monkeypatch):
-    # p = 357,913,942: the cost cap n+1 + 8p is past the DP's int32 limit
-    # of 2^30, so the command must stop before any residue table exists.
+    # p = 357,913,942, far past STAIRCASE_MAX_P (and past where 32-bit
+    # level costs n+1 + 8p would overflow): refused before any table exists
     monkeypatch.setattr(
-        cmkit.torsion, "_min_costs", lambda *args: pytest.fail("DP ran past the limit")
+        cmkit.torsion, "_min_costs", lambda *args: pytest.fail("knapsack ran past the capacity")
     )
     sigma = (1, 1, *(2**k for k in range(1, 15)))
+    assert sum(v * v for v in sigma) == 357_913_942
     code, out, err = run_cli(capsys, "torsion", *map(str, sigma))
     assert code == 3
     assert out == ""
-    assert "int32 staircase limit" in err
+    assert "staircase capacity" in err
 
 
 def test_torsion_past_p_capacity_exits_three(capsys, monkeypatch):
-    # just past STAIRCASE_MAX_P, far inside the int32 limit: refused before
-    # any residue table exists
+    # just past STAIRCASE_MAX_P: refused before any table exists
     monkeypatch.setattr(
-        cmkit.torsion, "_min_costs", lambda *args: pytest.fail("DP ran past the capacity")
+        cmkit.torsion, "_min_costs", lambda *args: pytest.fail("knapsack ran past the capacity")
     )
-    sigma = (*(2**k for k in range(10)), 908, 909)
-    assert sum(v * v for v in sigma) == cmkit.torsion.STAIRCASE_MAX_P + 270
+    sigma = (*(2**k for k in range(10)), 639, 1024, 2048)
+    assert sum(v * v for v in sigma) == cmkit.torsion.STAIRCASE_MAX_P + 726
     code, out, err = run_cli(capsys, "torsion", *map(str, sigma))
     assert code == 3
     assert out == ""
@@ -99,13 +99,13 @@ def test_torsion_past_p_capacity_exits_three(capsys, monkeypatch):
 
 
 def test_torsion_past_work_capacity_exits_three(capsys, monkeypatch):
-    # rank 30, inside STAIRCASE_MAX_P: its DP took 129 s, and the work
-    # estimate refuses it before any residue table exists
+    # rank 206, inside STAIRCASE_MAX_P: its knapsack took 61 s, and the
+    # work bound (2.6e11 cells) refuses it before any table exists
     monkeypatch.setattr(
-        cmkit.torsion, "_min_costs", lambda *args: pytest.fail("DP ran past the capacity")
+        cmkit.torsion, "_min_costs", lambda *args: pytest.fail("knapsack ran past the capacity")
     )
-    sigma = (1, 1, *(2**k for k in range(1, 9)), *(300,) * 21)
-    assert sum(v * v for v in sigma) == 1_977_382 < cmkit.torsion.STAIRCASE_MAX_P
+    sigma = (1, 1, *(2**k for k in range(1, 7)), *(100,) * 199)
+    assert sum(v * v for v in sigma) == 1_995_462 < cmkit.torsion.STAIRCASE_MAX_P
     code, out, err = run_cli(capsys, "torsion", *map(str, sigma))
     assert code == 3
     assert out == ""
@@ -284,9 +284,8 @@ def test_verify_lemma4_rank_six_bytes_pinned(capsys):
 
 
 # SHA-256 of `torsion <sigma>` in each format for staircases with p from
-# 4,267 to 87,381, recorded from the residue-only DP before the integer-sum
-# window and its fold were added; every one of them folds before its last
-# coordinate.
+# 4,267 to 87,381, recorded from a DP over the residues mod 2p, an
+# independent route to the same staircases.
 TORSION_LARGE_P_SHA256 = {
     (1, 1, 2, 4, 8, 16, 30, 55): (
         "cd11d04d1ec52dbe32084ddfa4154e937019fd24c8f9e8ecc5251d93aac636ac",

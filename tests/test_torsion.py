@@ -23,14 +23,12 @@ from cmkit import (
     torus_knot_exponents,
 )
 from cmkit import torsion
-from cmkit.torsion import _INF, _min_costs
 
 from oracle_utils import (
-    CYCLIC_INF,
     characteristic_residues,
     min_costs_cyclic,
+    min_covering_costs,
     min_level_by_scan,
-    min_odd_costs,
     torus_alexander_coefficients,
 )
 
@@ -152,117 +150,77 @@ def test_characteristic_residues_level_zero():
     assert got == frozenset({1, 3, 5, 13, 15, 17})
 
 
+@st.composite
+def _knapsack_cases(draw):
+    """Positive entries in any order and a table length up to 60 for
+    which the brute force tries at most 20,000 vectors m."""
+    sig = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4))
+    top = 60
+    while math.prod(-(-top // s) + 1 for s in sig) > 20_000:
+        top -= 1
+    return tuple(sig), draw(st.integers(min_value=0, max_value=top))
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
-    st.integers(min_value=1, max_value=60),
-    st.integers(min_value=1, max_value=5),
-)
-def test_min_costs_against_brute_force(sig, modulus, bound):
-    dp = _min_costs(tuple(sig), modulus, bound)
-    expected = min_odd_costs(sig, modulus, bound)
-    for r in range(modulus):
-        if r in expected:
-            assert dp[r] == expected[r], r
-        else:
-            assert dp[r] >= _INF, r
-        assert dp[r] == dp[-r % modulus], r
+@given(_knapsack_cases())
+@example(((1,), 0))
+@example(((2, 5, 3), 13))
+def test_min_costs_against_brute_force_knapsack(case):
+    sig, top = case
+    assert torsion._min_costs(sig, top).tolist() == min_covering_costs(sig, top)
 
 
 @st.composite
-def _dp_cases(draw, max_rank=7):
-    """A changemaker of rank <= max_rank with sigma_0 = 1, a coordinate
-    bound up to about twice the certified loop's first one, and either the
-    staircase modulus 2p or an odd modulus up to 2p + 1; small moduli fold
-    the integer-sum window before the first coordinate, large ones late
-    or never."""
+def _changemakers(draw, max_rank):
+    """A changemaker of rank <= max_rank with sigma_0 = 1."""
     sig = [1]
     for _ in range(draw(st.integers(min_value=0, max_value=max_rank))):
         sig.append(draw(st.integers(min_value=sig[-1], max_value=1 + sum(sig))))
-    p = sum(x * x for x in sig)
-    g = (p - sum(sig)) // 2
-    bound = draw(st.integers(min_value=1, max_value=2 * math.isqrt(4 * g + len(sig) + 1)))
-    odd = st.integers(min_value=0, max_value=p).map(lambda k: 2 * k + 1)
-    modulus = draw(st.one_of(st.just(2 * p), odd))
-    return tuple(sig), modulus, bound
+    return tuple(sig)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_dp_cases())
-@example(((1, 1, 3), 5, 3))  # the window folds before coordinate 0
-@example(((1, 2, 4, 8), 170, 9))  # it folds before coordinate 3
-@example(((1, 2, 4, 8), 170, 1))  # it folds after the last coordinate
-def test_min_costs_against_cyclic_oracle(case):
-    sig, modulus, bound = case
-    got = _min_costs(sig, modulus, bound)
-    want = min_costs_cyclic(sig, modulus, bound)
-    reached = want < CYCLIC_INF
-    assert got.shape == want.shape
-    assert ((got < _INF) == reached).all()
-    assert (got[reached] == want[reached]).all()
-    assert (got[~reached] >= _INF).all()
-    assert (got == got[-np.arange(modulus) % modulus]).all()
+@settings(max_examples=100, deadline=None)
+@given(_changemakers(max_rank=7))
+@example((1, 1, 3))
+@example((1, 2, 4, 8, 16, 32, 64, 128))
+def test_staircase_against_characteristic_dp(sig):
+    """Every t_i is the least level of an odd vector meeting p - 2i mod
+    2p, from the residue DP at a bound that covers every optimum up to
+    level max(t): a level-k vector has sum(c_j^2) = (n+1) + 8k with every
+    c_j^2 >= 1, so each |c_j| <= sqrt(8k + 1)."""
+    stair = torsion_staircase(sig)
+    p, g = sum(x * x for x in sig), genus_from_changemaker(sig)
+    bound = math.isqrt(8 * max(stair) + 1) | 1
+    costs = min_costs_cyclic(sig, 2 * p, bound)[(p - 2 * np.arange(g + 1)) % (2 * p)]
+    assert ((costs - len(sig)) // 8).tolist() == list(stair)
+    assert ((costs - len(sig)) % 8 == 0).all()
 
 
-def test_bound_regrowth_from_bound_one(monkeypatch):
-    """Started from bound 1, the certified loop must run both growth
-    branches (needed residues unreachable: double; reachable but the bound
-    too small to certify them: grow to `required`) and still return the
-    exact staircases."""
-    small = [sig for rank in (1, 2, 3) for sig in iter_changemakers(rank)]
-    rank5 = random.Random(5).sample(list(iter_changemakers(5)), 40)
-    torsion._staircase_cached.cache_clear()
-    default = {sig: torsion_staircase(sig) for sig in rank5}
-    real = torsion._min_costs
-    reached = {}  # sig -> per _min_costs call: were all needed residues reached?
-
-    def recording(sig, modulus, bound):
-        costs = real(sig, modulus, bound)
-        p = modulus // 2
-        g = (p - sum(sig)) // 2
-        needed = [(p - 2 * i) % modulus for i in range(g + 1)]
-        reached.setdefault(sig, []).append(all(costs[r] < _INF for r in needed))
-        return costs
-
-    monkeypatch.setattr(torsion, "_start_bound", lambda g, n1: 1)
-    monkeypatch.setattr(torsion, "_min_costs", recording)
-    torsion._staircase_cached.cache_clear()
-    try:
-        for sig in small:
-            stair = torsion_staircase(sig)
-            for i in range(genus_from_changemaker(sig) + 1):
-                assert stair[i] == min_level_by_scan(sig, i), (sig, i)
-        for sig in rank5:
-            assert torsion_staircase(sig) == default[sig], sig
-    finally:
-        torsion._staircase_cached.cache_clear()
-    regrown = [flags[:-1] for flags in reached.values()]
-    assert any(False in flags for flags in regrown)  # unreachable -> double
-    assert any(True in flags for flags in regrown)  # uncertified -> required
-    assert all(flags[-1] for flags in reached.values())
-
-
-class _ReachedDP(Exception):
+class _ReachedKnapsack(Exception):
     pass
 
 
 @pytest.mark.parametrize(
     "sigma",
     [
-        (*(2**k for k in range(10)), 908, 908),  # p = 1,998,453: about 20 s
-        (1, 1, *(2**k for k in range(1, 9)), *(300,) * 12),  # rank 21: about 27 s
+        (*(2**k for k in range(10)), 908, 908),  # p = 1,998,453: about 4.3 s
+        (1, 1, *(2**k for k in range(1, 9)), *(300,) * 12),  # rank 21: about 4.2 s
+        (1, 1, *(2**k for k in range(1, 9)), *(300,) * 21),  # rank 30: about 13 s
+        (1, 1, *(2**k for k in range(1, 8)), *(200,) * 49),  # rank 57: about 22 s
+        tuple(2**k for k in range(12)),  # p = 5,592,405: about 20 s
+        (1, 1, *(2**k for k in range(1, 10)), *(512,) * 15),  # work 7.0e10: about 28 s
     ],
 )
 def test_measured_staircases_pass_the_capacity_checks(monkeypatch, sigma):
     def reached(*args):
-        raise _ReachedDP
+        raise _ReachedKnapsack
 
     monkeypatch.setattr(torsion, "_min_costs", reached)
-    with pytest.raises(_ReachedDP):
+    with pytest.raises(_ReachedKnapsack):
         torsion_staircase(sigma)
 
 
-def test_scan_agrees_with_dp_on_small_changemakers():
+def test_scan_agrees_with_staircase_on_small_changemakers():
     small = [sig for rank in (1, 2, 3) for sig in iter_changemakers(rank)]
     rank4 = random.Random(4).sample(list(iter_changemakers(4)), 48)
     for sig in small + rank4:
@@ -288,11 +246,8 @@ def test_torsion_at_most_matches_exact_values():
 def _index_cases(draw, max_rank=6):
     """A changemaker of rank <= max_rank with sigma_0 = 1 and an index in
     [0, p // 2], past the genus included."""
-    sig = [1]
-    for _ in range(draw(st.integers(min_value=0, max_value=max_rank))):
-        sig.append(draw(st.integers(min_value=sig[-1], max_value=1 + sum(sig))))
-    p = sum(x * x for x in sig)
-    return tuple(sig), draw(st.integers(min_value=0, max_value=p // 2))
+    sig = draw(_changemakers(max_rank))
+    return sig, draw(st.integers(min_value=0, max_value=sum(x * x for x in sig) // 2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -330,10 +285,15 @@ def test_witness_inapplicable():
 def test_witness_contract_over_small_census():
     for rank in (2, 3, 4, 5):
         for sig in iter_changemakers(rank):
+            # the knapsack's closed form, read off the staircase: t_i = 0
+            # exactly when i >= g, and t_i <= 1 exactly when g - i <= sigma_n
+            stair = torsion_staircase(sig)
+            g = genus_from_changemaker(sig)
+            assert [t == 0 for t in stair] == [i >= g for i in range(g + 1)]
+            assert [t <= 1 for t in stair] == [g - i <= sig[-1] for i in range(g + 1)]
             if sig[-1] < 3:
                 continue
             w = lemma4_witness(sig)
-            g = genus_from_changemaker(sig)
             p = sum(x * x for x in sig)
             assert w.level == 1
             assert p + inner_product(w.coords, sig) == 2 * g - 6
