@@ -14,7 +14,7 @@ import sys
 from contextlib import ExitStack, contextmanager
 
 from . import census as census_mod
-from .changemaker import ChangemakerVector, is_changemaker
+from .changemaker import ChangemakerVector
 from .errors import CapacityError
 from .graphs import orthogonal_basis
 from .lattice import gram_matrix
@@ -98,13 +98,10 @@ def _cmd_gram(args, out) -> int:
 
 
 def _cmd_torsion(args, out) -> int:
-    sig = tuple(args.sigma)
-    if not is_changemaker(sig) or sig[0] != 1:
-        raise ValueError(f"not a changemaker with sigma_0 = 1: {list(sig)}")
-    cm = ChangemakerVector(sig)
-    g = genus_from_changemaker(cm)
+    cm = ChangemakerVector(args.sigma)  # ValueError unless a changemaker
+    g = genus_from_changemaker(cm)  # ValueError unless sigma_0 = 1
     t = list(torsion_staircase(cm))
-    _emit(args, out, {"sigma": list(sig), "p": cm.p, "g": g, "t": t})
+    _emit(args, out, {"sigma": list(cm.sigma), "p": cm.p, "g": g, "t": t})
     return 0
 
 

@@ -358,7 +358,7 @@ def lemma4_witness(sigma) -> CharacteristicVector:
     for every j >= t.  Expanding the pairing gives the identity
     p + <c, sigma> = p - |sigma|_1 - 6 = 2g - 6.  The level and the
     identity are not re-checked here; the lemma4 sweep's instance record
-    decides both.
+    decides both, and its prefix check decides the identity.
     """
     return CharacteristicVector(_witness_coords(as_changemaker(sigma).sigma))
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -224,17 +225,20 @@ def test_verify_emit_and_quiet_agree():
 def _per_vector_sweeps(rank):
     """Per-vector oracle for one rank of the quiet lemma4 sweep and the
     theorem1 sweep above the deep rank: every vector of the full
-    enumeration, one witness check each, and every vector the witness does
-    not settle, genus < 3 included, sent to _check_theorem1.  Looks
-    _lemma4_ok and _check_theorem1 up at call time so that monkeypatches
-    apply."""
+    enumeration, one witness check each.  Every vector the witness does
+    not settle gets its lemma4 record, a counterexample when its "ok" is
+    false, and is sent to _check_theorem1, genus < 3 included.  Looks
+    _lemma4_ok, _lemma4_instance and _check_theorem1 up at call time so
+    that monkeypatches apply."""
     lemma4_instances, lemma4_bad, theorem1_calls = 0, [], []
     for sig, total, sumsq in iter_changemakers_with_sums(rank):
         ok = sig[-1] >= 3 and census._lemma4_ok(sig, total, sumsq)
         if sig[-1] >= 3:
             lemma4_instances += 1
             if not ok:
-                lemma4_bad.append(_lemma4_instance(sig, walk_state(sig)))
+                info = census._lemma4_instance(sig, walk_state(sig))
+                if not info["ok"]:
+                    lemma4_bad.append(info)
         if not ok:
             theorem1_calls.append(sig)
     return lemma4_instances, lemma4_bad, theorem1_calls
@@ -278,43 +282,91 @@ REJECTED_PREFIX = (1, 1, 3)
 
 
 def test_failed_prefix_is_walked_vector_by_vector(monkeypatch):
+    # every completion of a rejected prefix reaches the record checks, in
+    # lexicographic order and with its own state; the counterexamples are
+    # the records among them whose "ok" is false (here, by a spy, those
+    # ending in an even entry), not the whole block
     ok = census._lemma4_ok
-
-    def reject_prefix(sig, total, sumsq):
-        return sig[:3] != REJECTED_PREFIX and ok(sig, total, sumsq)
-
-    calls = []
-    check = census._check_theorem1
-
-    def spy(sig, state):
-        calls.append(sig)
-        return check(sig, state)
-
+    monkeypatch.setattr(
+        census, "_lemma4_ok", lambda sig, *sums: sig[:3] != REJECTED_PREFIX and ok(sig, *sums)
+    )
     monkeypatch.setattr(census, "DEEP_CHECK_MAX_RANK", 0)
-    monkeypatch.setattr(census, "_lemma4_ok", reject_prefix)
-    monkeypatch.setattr(census, "_check_theorem1", spy)
     max_rank = 5
     oracle = [_per_vector_sweeps(rank) for rank in range(1, max_rank + 1)]
     expected_calls = [sig for _, _, rank_calls in oracle for sig in rank_calls]
-    calls.clear()
-
-    lemma4 = verify_claim("lemma4", max_rank)
     completions = [
         sig
         for rank in range(1, max_rank + 1)
-        for sig, _, _ in iter_changemakers_with_sums(rank)
+        for sig in iter_changemakers(rank)
         if sig[:3] == REJECTED_PREFIX
     ]
     assert len(completions) > 50
-    assert lemma4.counterexamples == [_lemma4_instance(sig, walk_state(sig)) for sig in completions]
+
+    lemma4_checked, records, theorem1_checked = [], [], []
+    lemma4_instance, check_theorem1 = census._lemma4_instance, census._check_theorem1
+
+    def lemma4_spy(sig, state):
+        lemma4_checked.append((sig, state))
+        info = lemma4_instance(sig, state)
+        info["ok"] = info["ok"] and sig[-1] % 2 == 1
+        records.append(info)
+        return info
+
+    def theorem1_spy(sig, state):
+        theorem1_checked.append((sig, state))
+        return check_theorem1(sig, state)
+
+    monkeypatch.setattr(census, "_lemma4_instance", lemma4_spy)
+    monkeypatch.setattr(census, "_check_theorem1", theorem1_spy)
+
+    lemma4 = verify_claim("lemma4", max_rank)
+    assert [sig for sig, _ in lemma4_checked] == completions
+    assert all(state == walk_state(sig) for sig, state in lemma4_checked)
+    assert lemma4.counterexamples == [info for info in records if not info["ok"]]
+    assert 0 < len(lemma4.counterexamples) < len(completions)
     assert lemma4.instances == sum(n for n, _, _ in oracle)
 
     theorem1 = verify_claim("theorem1", max_rank)
+    calls = [sig for sig, _ in theorem1_checked]
     assert calls == expected_calls
-    low_genus = [sig for sig in calls if (sum(v * v for v in sig) - sum(sig)) // 2 < 3]
-    assert low_genus and all(check(sig, walk_state(sig)) is None for sig in low_genus)
+    assert all(state == walk_state(sig) for sig, state in theorem1_checked)
     assert [sig for sig in calls if sig[:3] == REJECTED_PREFIX] == completions
+    assert all(max(sig) <= 2 for sig in calls if sig[:3] != REJECTED_PREFIX)
+    low_genus = [sig for sig in calls if (sum(v * v for v in sig) - sum(sig)) // 2 < 3]
+    assert low_genus and all(check_theorem1(sig, walk_state(sig)) is None for sig in low_genus)
     assert theorem1.instances == len(_theorem1_instances(expected_calls))
+
+
+def test_prefix_check_and_records_share_one_witness(monkeypatch, tmp_path):
+    # a witness broken for the completions of (1, 1, 3) fails the prefix
+    # check, so the quiet rank-7 sweep walks that block, and every
+    # completion of every rank is a counterexample through its own record
+    coords = census._witness_coords
+
+    def broken(sig):
+        c = coords(sig)
+        return (-c[0], *c[1:]) if sig[:3] == REJECTED_PREFIX else c
+
+    monkeypatch.setattr(census, "_witness_coords", broken)
+    target = tmp_path / "verdict.jsonl"
+    assert main(["verify", "lemma4", "--max-rank", "7", "--quiet", "--out", str(target)]) == 1
+    _header, verdict = target.read_text().splitlines()
+    # the verdict line holds some 200,000 records: read it by its fields,
+    # not into dicts
+    assert verdict.startswith(
+        '{"kind":"verdict","claim":"lemma4","max_rank":7,"instances":1785372,"counterexamples":['
+    )
+    assert verdict.endswith('],"holds":false}')
+    completions = [
+        ",".join(map(str, sig))
+        for rank in range(2, 8)
+        for sig, _, _ in iter_changemakers_with_sums(rank, prefix=REJECTED_PREFIX)
+    ]
+    assert re.findall(r'"sigma":\[([\d,]*)\]', verdict) == completions
+    n = len(completions)
+    assert n == 210_733
+    assert verdict.count('"level":1,') == verdict.count('"torsion_le_1":true,') == n
+    assert verdict.count('"identity_ok":false,') == verdict.count('"ok":false}') == n
 
 
 def test_failed_witness_sub_check_is_a_counterexample_record(monkeypatch, capsys):

@@ -373,6 +373,7 @@ def test_verify_rejects_unknown_claim(capsys):
     [
         (("census", "--max-rank", "11"), 3),  # capacity
         (("torsion", "1", "3"), 2),  # bad input
+        (("census", "--max-rank", "7"), 3),  # past the measured census rank
     ],
 )
 def test_refused_request_leaves_out_file_untouched(tmp_path, capsys, argv, exit_code):

@@ -21,6 +21,22 @@ def test_tracer_installs_on_the_current_names(monkeypatch):
     assert isinstance(cmkit.census.DEEP_CHECK_MAX_RANK, int)
 
 
+def test_sweeps_call_the_traced_names(monkeypatch):
+    # a name the tracer wraps but the sweeps no longer call would read 0
+    # in the benchmark's layer metrics and fail nothing else
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    with tracer.installed():
+        assert cmkit.census.verify_claim("lemma4", 7).holds
+        assert cmkit.census.verify_claim("theorem1", 7).holds
+    assert tracer.counts["census.witness_calls"] > 0  # _lemma4_ok
+    assert tracer.calls["census.deep"] > 0
+    assert tracer.calls["census.theorem1"] > 0
+    assert tracer.enumerations
+
+
 @pytest.mark.parametrize(
     "argv",
     [
