@@ -19,7 +19,6 @@ from .graphs import intersection_graph, leading_ones, orthogonal_basis, standard
 from .lattice import gram_matrix
 from .linear import gerstein_isomorphic, recognize_linear
 from .torsion import (
-    TorsionSequence,
     exponents_from_torsion,
     genus_from_changemaker,
     torsion_at_most,  # not called here; bench/tracing.py wraps census.torsion_at_most
@@ -85,7 +84,7 @@ class CensusRecord:
 def _exponents(staircase) -> tuple[int, ...] | None:
     """The exponents a staircase inverts to, or None when it inverts to none."""
     try:
-        return exponents_from_torsion(TorsionSequence(staircase)).exponents
+        return exponents_from_torsion(staircase).exponents
     except ValueError:
         return None
 
@@ -310,16 +309,13 @@ def _lemma4_ok(sig: tuple[int, ...], total: int, sumsq: int) -> bool:
     iff greedy pays.  For a whole vector it is the record's identity
     p + <c, sigma> == 2g - 6, as p - total = 2g.
 
-    On a changemaker prefix greedy always pays.  The entries below t are
-    k >= 1 ones and m twos, so sigma_t <= k + 2m + 1 leaves at most
-    k + 2m - 2 to pay.  Greedy from the top takes twos while 2 or more is
-    left: from an amount >= 2m it takes every two and leaves at most k - 2
-    for the ones, and from a smaller amount it leaves 0 or 1, which a one
-    pays.  The check still builds and sums the witness, so a fault in the
-    constructor shows here as in the records.  sumsq is unused; it stays
-    in the signature because bench/tracing.py wraps this function with a
-    three-argument wrapper and its drain replays the sampled
-    (sigma, total, sumsq) triples.
+    On a changemaker prefix greedy always pays (the argument is at
+    lemma4_witness and changemaker._greedy_change).  The check still
+    builds and sums the witness, so a fault in the constructor shows here
+    as in the records.  sumsq is unused; it stays in the signature
+    because bench/tracing.py wraps this function with a three-argument
+    wrapper and its drain replays the sampled (sigma, total, sumsq)
+    triples.
     """
     return sum([c * v for c, v in zip(_witness_coords(sig), sig)]) == total + 6
 

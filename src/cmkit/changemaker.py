@@ -120,25 +120,30 @@ class CharacteristicVector:
 def subset_representation(sigma, target: int) -> tuple[int, ...]:
     """Indices A (ascending) with sum(sigma[k] for k in A) == target.
 
-    Greedy from the largest index down, skipping zero entries; the
-    changemaker inequalities guarantee success for 0 <= target <=
-    |sigma|_1, and fixing the greedy choice makes the output
+    The greedy choice of _greedy_change, which pays every such target on
+    a changemaker (the argument is in its docstring) and makes the output
     deterministic.
     """
     cm = as_changemaker(sigma)
     if not 0 <= target <= cm.one_norm:
         raise ValueError(f"target {target} outside [0, {cm.one_norm}]")
-    picked = _greedy_change(cm.sigma, target)
-    if sum(cm.sigma[k] for k in picked) != target:
-        raise AssertionError("greedy change-making failed on a changemaker")
-    return picked
+    return _greedy_change(cm.sigma, target)
 
 
 def _greedy_change(sig: tuple[int, ...], target: int) -> tuple[int, ...]:
     """The indices (ascending) greedy change-making picks to pay target
     from sig, a trusted tuple: from the largest index down, take every
-    nonzero entry no larger than what is left.  Whether they pay target
-    in full is the caller's to check."""
+    nonzero entry no larger than what is left.
+
+    On a changemaker, greedy pays every target in [0, |sigma|_1] in full.
+    Invariant: before index k is considered, what is left is at most
+    S_k = sigma_0 + ... + sigma_k.  It holds at k = n, as the target is at
+    most |sigma|_1 = S_n.  If greedy takes sigma_k, what is left drops to
+    at most S_{k-1}.  If it skips a zero sigma_k, S_{k-1} = S_k.  If it
+    skips any other, what is left is below sigma_k <= S_{k-1} + 1 (the
+    changemaker inequality), so again at most S_{k-1}.  After index 0 it
+    is at most the empty sum, 0.
+    """
     rem = target
     picked = []
     for k in range(len(sig) - 1, -1, -1):

@@ -3,8 +3,11 @@
 These deliberately avoid the library's own code paths: exact polynomial
 arithmetic for torus-knot Alexander coefficients, itertools-based signed
 sums, a naive recursive determinant and the leading principal minors built
-on it, a brute-force covering knapsack, a residue-only odd-vector cost
-DP, an ascending characteristic-level scan over odd-square multisets and a
+on it, the staircase rebuilt from an exponent ladder by a running suffix
+sum over the coefficient map (the round trip of the library's inversion;
+the map itself is checked against the polynomial arithmetic), a
+brute-force covering knapsack, a residue-only odd-vector cost DP, an
+ascending characteristic-level scan over odd-square multisets and a
 short-vector descent over Fractions.  The lemma4 and theorem1 sweeps'
 object-level route (validated ChangemakerVector, lemma4_witness,
 inner_product and torsion_at_most) is kept here as the reference for the
@@ -19,6 +22,7 @@ import numpy as np
 
 from cmkit import (
     ChangemakerVector,
+    coefficients,
     genus_from_changemaker,
     inner_product,
     lemma4_witness,
@@ -65,6 +69,20 @@ def torus_alexander_coefficients(g):
     quot = poly_divexact(num, den)
     assert len(quot) - 1 == 2 * g
     return {deg - g: c for deg, c in enumerate(quot) if c}
+
+
+def staircase_from_exponents(exponents):
+    """(t_0, ..., t_g) rebuilt from a strictly decreasing exponent tuple:
+    t_i - t_{i+1} = sum_{d>i} a_d, so a running suffix sum of the
+    coefficients from t_g = 0 down gives the staircase."""
+    coeff = coefficients(exponents)
+    g = exponents[0] if exponents else 0
+    stair = [0] * (g + 1)
+    tail = 0
+    for i in range(g - 1, -1, -1):
+        tail += coeff.get(i + 1, 0)
+        stair[i] = stair[i + 1] + tail
+    return tuple(stair)
 
 
 def signed_sums(seq):

@@ -30,7 +30,12 @@ from cmkit.census import (
 from cmkit.changemaker import iter_changemakers, iter_changemakers_with_sums
 from cmkit.cli import main
 
-from oracle_utils import lemma4_record_by_objects, theorem1_hypothesis_by_objects, walk_state
+from oracle_utils import (
+    lemma4_record_by_objects,
+    staircase_from_exponents,
+    theorem1_hypothesis_by_objects,
+    walk_state,
+)
 
 
 def test_build_record_family_one():
@@ -408,9 +413,21 @@ def test_census_and_sweeps_agree_on_their_instances():
     assert len(theorem1) == 6 and len(lemma5) == 15
 
 
+def test_every_small_census_staircase_inverts_and_round_trips():
+    # exponents_from_torsion does not rebuild the staircase it inverts;
+    # here every census staircase of rank <= 5 inverts and its ladder
+    # rebuilds it
+    records = list(run_census(5))
+    assert len(records) == 2_507
+    for rec in records:
+        assert rec.exponents is not None
+        assert staircase_from_exponents(rec.exponents) == rec.torsion
+
+
 def test_lemma4_ok_holds_on_every_prefix():
-    # the greedy step always pays on a changemaker prefix (_lemma4_ok's
-    # docstring), so no block of the prefix walks can fail it
+    # greedy change-making always pays on a changemaker prefix (the
+    # argument is at changemaker._greedy_change), so no block of the
+    # prefix walks can fail it
     prefixes = [
         (prefix, total, sumsq)
         for rank in range(3, 11)

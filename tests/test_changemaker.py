@@ -213,6 +213,28 @@ def test_subset_representation_always_succeeds():
                 assert len(set(picked)) == len(picked)
 
 
+@st.composite
+def _changemakers_of_rank_5_to_10(draw):
+    """A changemaker of rank 5..10; sigma_0 = 0 is allowed, so greedy
+    also meets zero entries."""
+    sig = [draw(st.integers(min_value=0, max_value=1))]
+    for _ in range(draw(st.integers(min_value=5, max_value=10))):
+        sig.append(draw(st.integers(min_value=sig[-1], max_value=1 + sum(sig))))
+    return tuple(sig)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_changemakers_of_rank_5_to_10())
+def test_subset_representation_always_succeeds_at_rank_5_to_10(sig):
+    # subset_representation does not check that greedy paid; the argument
+    # at changemaker._greedy_change says it always does, and this tests it
+    cm = ChangemakerVector(sig)
+    for m in range(cm.one_norm + 1):
+        picked = subset_representation(cm, m)
+        assert sum(sig[k] for k in picked) == m
+        assert list(picked) == sorted(set(picked))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=11))
 def test_subset_representation_greedy_deterministic(m):

@@ -29,6 +29,7 @@ from oracle_utils import (
     min_costs_cyclic,
     min_covering_costs,
     min_level_by_scan,
+    staircase_from_exponents,
     torus_alexander_coefficients,
 )
 
@@ -87,6 +88,36 @@ def test_torsion_sequence_validation():
         TorsionSequence(())
 
 
+def _accepts(cls, values) -> bool:
+    try:
+        cls(values)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(min_value=-2, max_value=3), max_size=6))
+@example([-1, 0])
+@example([0, -1, 0])
+@example([2, 0])
+@example([3, 0])
+@example([0, 1])
+def test_validators_accept_what_the_dropped_checks_accepted(values):
+    """The validators keep only the checks that can fail: the predicates
+    below, which they once ran in full, still decide the same inputs."""
+    pairs = list(zip(values, values[1:]))
+    torsion_ok = (
+        bool(values)
+        and values[-1] == 0
+        and all(v >= 0 for v in values)
+        and all(a - b in (0, 1) for a, b in pairs)
+    )
+    exponents_ok = all(x > 0 for x in values) and all(a > b for a, b in pairs)
+    assert _accepts(TorsionSequence, values) == torsion_ok
+    assert _accepts(AlexanderExponents, values) == exponents_ok
+
+
 def test_exponents_from_torsion_examples():
     assert exponents_from_torsion((1, 1, 0)).exponents == (2, 1)
     assert exponents_from_torsion((2, 1, 1, 0)).exponents == (3, 2, 1)
@@ -100,6 +131,7 @@ def test_exponents_from_torsion_inverts_all_small_sequences():
                 ae = AlexanderExponents((g, *sorted(rest, reverse=True)))
                 stair = [torsion_from_alexander(ae, i) for i in range(g + 1)]
                 assert exponents_from_torsion(stair).exponents == ae.exponents
+                assert staircase_from_exponents(ae.exponents) == tuple(stair)
 
 
 @settings(max_examples=100, deadline=None)

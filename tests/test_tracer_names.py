@@ -37,6 +37,20 @@ def test_sweeps_call_the_traced_names(monkeypatch):
     assert tracer.enumerations
 
 
+def test_census_calls_the_traced_names(monkeypatch):
+    # the census records' staircase and inversion go through the census
+    # globals the tracer wraps, once per record
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    with tracer.installed():
+        records = list(cmkit.census.run_census(3))
+    assert records
+    assert tracer.calls["torsion.staircase"] == len(records)
+    assert tracer.calls["torsion.inversion"] == len(records)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
