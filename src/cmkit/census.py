@@ -20,7 +20,6 @@ from .lattice import gram_matrix
 from .linear import gerstein_isomorphic, recognize_linear
 from .torsion import (
     exponents_from_torsion,
-    genus_from_changemaker,
     torsion_at_most,  # not called here; bench/tracing.py wraps census.torsion_at_most
     torsion_staircase,
     _witness_coords,
@@ -120,8 +119,8 @@ def build_record(sigma) -> CensusRecord:
     """Evaluate every census column for one changemaker."""
     cm = as_changemaker(sigma)
     sig = cm.sigma
-    g = genus_from_changemaker(cm)
-    torsion = torsion_staircase(cm)
+    torsion = torsion_staircase(cm)  # t_0..t_g; ValueError unless sigma_0 = 1
+    g = len(torsion) - 1
     exponents = _exponents(torsion)
 
     k: int | None = None
@@ -259,8 +258,8 @@ def _lemma4_instance(sig: tuple[int, ...], state: tuple[int, int, int, int]) -> 
     ChangemakerVector, CharacteristicVector and inner_product would only
     re-prove that, and the witness's coordinates are odd by construction.
     The witness comes from _witness_coords, the constructor that
-    lemma4_witness and the prefix check _lemma4_ok use; its level (from
-    sum(c^2)) and its pairing are recomputed here.
+    lemma4_witness uses; its level (from sum(c^2)) and its pairing are
+    recomputed here.
     """
     total, p = state[:2]
     g = (p - total) // 2
@@ -292,32 +291,25 @@ def _with_state(rank: int, prefix: tuple[int, ...] = (1,)) -> Iterator[tuple]:
 
 #: Through this rank the sweeps run the full instance checks, vector by
 #: vector, on the signed-sum bitsets the walk carries.  Above it quiet
-#: lemma4 and theorem1 walk prefixes instead (see _walk): one witness
-#: check per prefix settles the whole block of its completions.
+#: lemma4 and theorem1 walk prefixes instead (see _walk): one bitset
+#: probe per prefix settles the whole block of its completions.
 DEEP_CHECK_MAX_RANK = 6
 
 
-def _lemma4_ok(sig: tuple[int, ...], total: int, sumsq: int) -> bool:
-    """The witness identity on a prefix: does the witness c that
-    _witness_coords builds for sig pair with it to sum(c_j sigma_j) ==
-    total + 6?
+def _lemma4_ok(sig: tuple[int, ...], total: int, level1: int) -> bool:
+    """Does every completion of the stopped prefix sig have t_{g-3} <= 1?
+    total is sig's sum and level1 its level <= 1 bitset
+    (extend_signed_sums); the one probe reads these, not sig itself.
 
-    sig is a sigma_0 = 1 changemaker with an entry >= 3 and total its
-    sum.  c is +1 off the greedy set that pays sigma_t - 3 (t the first
-    index with sigma_t >= 3), -1 on it and 3 at t, so the sum is
-    total + 6 plus twice what greedy leaves unpaid, and the identity holds
-    iff greedy pays.  For a whole vector it is the record's identity
-    p + <c, sigma> == 2g - 6, as p - total = 2g.
-
-    On a changemaker prefix greedy always pays (the argument is at
-    lemma4_witness and changemaker._greedy_change).  The check still
-    builds and sums the witness, so a fault in the constructor shows here
-    as in the records.  sumsq is unused; it stays in the signature
-    because bench/tracing.py wraps this function with a three-argument
-    wrapper and its drain replays the sampled (sigma, total, sumsq)
-    triples.
+    For a vector with sum s, p - s = 2g, so Lemma 4's index g - 3 has the
+    target p - 2(g - 3) = s + 6.  Suppose some level <= 1 vector c on sig
+    has the sum total + 6, bit (total + 6 + 3 total)/2 = 2 total + 3 of
+    level1.  Extend c by +1 on each entry that a completion with sum s
+    appends: the level stays <= 1 and the sum becomes
+    total + 6 + (s - total) = s + 6, the completion's target itself.  So
+    every vector of the block has t_{g-3} <= 1.  No greedy step enters.
     """
-    return sum([c * v for c, v in zip(_witness_coords(sig), sig)]) == total + 6
+    return level1 >> (2 * total + 3) & 1 == 1
 
 
 def _walk(rank: int, settle=None) -> Iterator[tuple]:
@@ -326,18 +318,12 @@ def _walk(rank: int, settle=None) -> Iterator[tuple]:
 
     Above it one walk stops each vector at its first entry >= 3 and
     yields the vectors whose entries are all <= 2 whole.  A stopped
-    prefix sigma_0..sigma_t is itself a sigma_0 = 1 changemaker, and every
-    completion inherits its answer to _lemma4_ok: greedy never takes an
-    entry larger than what is left to pay, and every entry from t on is
-    >= sigma_t > sigma_t - 3, so a completion's witness is the prefix's
-    witness followed by +1s, and both sides of the identity
-    sum(c_j sigma_j) == total + 6 grow by the same appended sum.  A
-    prefix that fails has its block walked vector by vector, each
-    completion with its own state.  A prefix that passes is settled: its
-    completions' witnesses have level 1 and sum p - 2(g - 3), so each has
-    t_{g-3} <= 1 and its lemma4 record would be ok.  settle(count) counts
-    the block for quiet lemma4; with no settle (theorem1) the block is
-    skipped, as t_{g-3} <= 1 fails the hypothesis t_{g-3} >= 2.
+    prefix that passes _lemma4_ok is settled, as every completion has
+    t_{g-3} <= 1 (the argument is there): settle(count) counts the block
+    for quiet lemma4; with no settle (theorem1) the block is skipped, as
+    t_{g-3} <= 1 fails the hypothesis t_{g-3} >= 2.  A prefix that fails
+    has its block walked vector by vector, each completion with its own
+    state.
     """
     if rank <= DEEP_CHECK_MAX_RANK:
         yield from _with_state(rank)
@@ -347,7 +333,7 @@ def _walk(rank: int, settle=None) -> Iterator[tuple]:
         prefix, state = item[0], item[1:]
         if prefix[-1] < 3:
             yield prefix, state
-        elif not _lemma4_ok(prefix, *state[:2]):
+        elif not _lemma4_ok(prefix, state[0], state[3]):
             yield from _with_state(rank, prefix)
         elif settle is not None:
             settle(count_completions(rank + 1 - len(prefix), prefix[-1], state[0], memo))

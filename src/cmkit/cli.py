@@ -19,7 +19,7 @@ from .errors import CapacityError
 from .graphs import orthogonal_basis
 from .lattice import gram_matrix
 from .linear import cf_expand, linear_gram
-from .torsion import genus_from_changemaker, torsion_staircase
+from .torsion import torsion_staircase
 
 SCHEMA = "cmkit/1"
 
@@ -99,9 +99,8 @@ def _cmd_gram(args, out) -> int:
 
 def _cmd_torsion(args, out) -> int:
     cm = ChangemakerVector(args.sigma)  # ValueError unless a changemaker
-    g = genus_from_changemaker(cm)  # ValueError unless sigma_0 = 1
-    t = list(torsion_staircase(cm))
-    _emit(args, out, {"sigma": list(cm.sigma), "p": cm.p, "g": g, "t": t})
+    t = list(torsion_staircase(cm))  # ValueError unless sigma_0 = 1
+    _emit(args, out, {"sigma": list(cm.sigma), "p": cm.p, "g": len(t) - 1, "t": t})
     return 0
 
 

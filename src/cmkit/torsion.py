@@ -193,11 +193,13 @@ def genus_from_changemaker(sigma) -> int:
     return (cm.p - cm.one_norm) // 2
 
 
-def _validate_index(cm, i: int) -> None:
-    if cm.sigma[0] != 1:
-        raise ValueError("torsion formula needs sigma_0 = 1")
+def _validate_index(cm, i: int) -> int:
+    """The genus of cm (genus_from_changemaker decides sigma_0 = 1), after
+    checking 0 <= i <= p // 2."""
+    g = genus_from_changemaker(cm)
     if not 0 <= i <= cm.p // 2:
         raise ValueError(f"index {i} outside [0, {cm.p // 2}]")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +297,9 @@ def _min_costs(sig: tuple[int, ...], g: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _staircase_cached(cm: ChangemakerVector) -> tuple[int, ...]:
-    sig, p, g = cm.sigma, cm.p, genus_from_changemaker(cm)
+def _staircase_cached(cm: ChangemakerVector, g: int) -> tuple[int, ...]:
+    """The staircase of cm, whose genus g its caller has decided."""
+    sig, p = cm.sigma, cm.p
     if p > STAIRCASE_MAX_P:
         raise CapacityError(f"p = {p} is past the staircase capacity p <= {STAIRCASE_MAX_P}")
     # _min_costs' own loop bound: the k-th entry after the largest runs
@@ -314,19 +317,19 @@ def _staircase_cached(cm: ChangemakerVector) -> tuple[int, ...]:
 
 def torsion_staircase(sigma) -> tuple[int, ...]:
     """(t_0, ..., t_g) computed on the lattice side in one certified pass;
-    sigma_0 = 1 is decided in _staircase_cached, by genus_from_changemaker."""
-    return _staircase_cached(as_changemaker(sigma))
+    sigma_0 = 1 is decided once, by genus_from_changemaker."""
+    cm = as_changemaker(sigma)
+    return _staircase_cached(cm, genus_from_changemaker(cm))
 
 
 def torsion_from_changemaker(sigma, i: int) -> int:
     """Minimum characteristic level meeting the congruence at index i."""
     cm = as_changemaker(sigma)
-    _validate_index(cm, i)
-    g = genus_from_changemaker(cm)
+    g = _validate_index(cm, i)
     if i > g:
         # beyond the genus the subset-sum property supplies a level-0 vector
         return 0
-    return _staircase_cached(cm)[i]
+    return _staircase_cached(cm, g)[i]
 
 
 def lemma4_witness(sigma) -> CharacteristicVector:
@@ -334,21 +337,23 @@ def lemma4_witness(sigma) -> CharacteristicVector:
 
     Writes -1 on the greedy subset paying sigma_t - 3, +3 at t (the first
     entry >= 3), and +1 elsewhere; raises ValueError when sigma has no
-    entry >= 3.  The greedy subset avoids t: greedy never takes an entry
-    larger than what is left to pay, and sigma_j >= sigma_t > sigma_t - 3
-    for every j >= t.  So it is greedy on the changemaker prefix before t,
-    whose sum is at least sigma_t - 1, and it pays sigma_t - 3 in full
-    (the argument is at changemaker._greedy_change).  Expanding the
-    pairing gives the identity
-    p + <c, sigma> = p - |sigma|_1 - 6 = 2g - 6.  The level and the
+    entry >= 3.  Why it pays is at _witness_coords.  The level and the
     identity are not re-checked here; the lemma4 sweep's instance record
-    decides both, and its prefix check decides the identity.
+    decides both.
     """
     return CharacteristicVector(_witness_coords(as_changemaker(sigma).sigma))
 
 
 def _witness_coords(sig: tuple[int, ...]) -> tuple[int, ...]:
-    """The coordinates of lemma4_witness for sig, a trusted tuple."""
+    """The coordinates of lemma4_witness for sig, a trusted tuple.
+
+    The greedy subset avoids t: greedy never takes an entry larger than
+    what is left to pay, and sigma_j >= sigma_t > sigma_t - 3 for every
+    j >= t.  So it is greedy on the changemaker prefix before t, whose sum
+    is at least sigma_t - 1, and it pays sigma_t - 3 in full (the argument
+    is at changemaker._greedy_change).  Expanding the pairing gives the
+    identity p + <c, sigma> = p - |sigma|_1 - 6 = 2g - 6.
+    """
     for t, v in enumerate(sig):
         if v >= 3:
             break

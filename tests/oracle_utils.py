@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: exact polynomial
 arithmetic for torus-knot Alexander coefficients, itertools-based signed
-sums, a naive recursive determinant and the leading principal minors built
+sums (and the level <= 1 sum that lemma4's prefix probe looks for), a
+naive recursive determinant and the leading principal minors built
 on it, the staircase rebuilt from an exponent ladder by a running suffix
 sum over the coefficient map (the round trip of the library's inversion;
 the map itself is checked against the polynomial arithmetic), a
@@ -88,6 +89,19 @@ def staircase_from_exponents(exponents):
 def signed_sums(seq):
     """All values of sum(+-x) over the sequence, by brute force."""
     return {sum(s * x for s, x in zip(signs, seq)) for signs in product((1, -1), repeat=len(seq))}
+
+
+def reaches_lemma4_target(seq):
+    """Some c with every c_j = +-1, except at most one c_j = +-3, has
+    sum(c_j x_j) = sum(seq) + 6: brute force over the position of the one
+    +-3 (or none) and every sign pattern."""
+    target = sum(seq) + 6
+    for three in range(-1, len(seq)):
+        for signs in product((1, -1), repeat=len(seq)):
+            c = [s * 3 if j == three else s for j, s in enumerate(signs)]
+            if sum(cj * x for cj, x in zip(c, seq)) == target:
+                return True
+    return False
 
 
 def subset_sums(seq):

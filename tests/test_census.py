@@ -1,8 +1,7 @@
 import json
-import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cmkit.census as census
@@ -32,6 +31,7 @@ from cmkit.cli import main
 
 from oracle_utils import (
     lemma4_record_by_objects,
+    reaches_lemma4_target,
     staircase_from_exponents,
     theorem1_hypothesis_by_objects,
     walk_state,
@@ -201,6 +201,18 @@ def test_verify_theorem1_instances():
             assert info["torus_match"] and info["p_ok"] and info["gerstein_ok"]
 
 
+def test_theorem1_instances_at_rank_eight_are_the_closed_form():
+    # t_{g-3} >= 2 and t_{g-2} = 1 hold exactly for (1^k, 2^m) with
+    # k >= 1 and m >= 3: n - 2 vectors at rank n, k falling within a rank
+    seen = []
+    result = verify_claim("theorem1", 8, emit=seen.append)
+    expected = [
+        [1] * k + [2] * (rank + 1 - k) for rank in range(3, 9) for k in range(rank - 2, 0, -1)
+    ]
+    assert [info["sigma"] for info in seen] == expected
+    assert result.instances == len(expected) == 21 and result.holds
+
+
 def test_verify_rejects_bad_input():
     with pytest.raises(ValueError):
         verify_claim("lemma6", 3)
@@ -213,7 +225,7 @@ def test_lemma4_fast_path_agrees_with_instance_path():
         for sig, *state in iter_changemakers_with_sums(rank, signed_sums=True):
             if sig[-1] < 3:
                 continue
-            lean = _lemma4_ok(sig, *state[:2])
+            lean = _lemma4_ok(sig, state[0], state[3])
             full = _lemma4_instance(sig, tuple(state))
             assert lean == full["ok"] == True  # noqa: E712
 
@@ -230,14 +242,14 @@ def test_verify_emit_and_quiet_agree():
 def _per_vector_sweeps(rank):
     """Per-vector oracle for one rank of the quiet lemma4 sweep and the
     theorem1 sweep above the deep rank: every vector of the full
-    enumeration, one witness check each.  Every vector the witness does
-    not settle gets its lemma4 record, a counterexample when its "ok" is
+    enumeration, one bitset probe each.  Every vector the probe does not
+    settle gets its lemma4 record, a counterexample when its "ok" is
     false, and is sent to _check_theorem1, genus < 3 included.  Looks
     _lemma4_ok, _lemma4_instance and _check_theorem1 up at call time so
     that monkeypatches apply."""
     lemma4_instances, lemma4_bad, theorem1_calls = 0, [], []
-    for sig, total, sumsq in iter_changemakers_with_sums(rank):
-        ok = sig[-1] >= 3 and census._lemma4_ok(sig, total, sumsq)
+    for sig, total, _sumsq, _low, level1 in iter_changemakers_with_sums(rank, signed_sums=True):
+        ok = sig[-1] >= 3 and census._lemma4_ok(sig, total, level1)
         if sig[-1] >= 3:
             lemma4_instances += 1
             if not ok:
@@ -274,7 +286,7 @@ def test_prefix_sweeps_match_per_vector_enumeration(monkeypatch):
 
 def test_prefix_theorem1_sweep_matches_the_deep_path(monkeypatch):
     # the deep path sends every vector of genus >= 3 to the staircase
-    # filter, with no witness shortcut at all
+    # filter, with no prefix probe at all
     deep = []
     verify_claim("theorem1", 6, emit=deep.append)
     monkeypatch.setattr(census, "DEEP_CHECK_MAX_RANK", 0)
@@ -342,10 +354,11 @@ def test_failed_prefix_is_walked_vector_by_vector(monkeypatch):
     assert theorem1.instances == len(_theorem1_instances(expected_calls))
 
 
-def test_prefix_check_and_records_share_one_witness(monkeypatch, tmp_path):
-    # a witness broken for the completions of (1, 1, 3) fails the prefix
-    # check, so the quiet rank-7 sweep walks that block, and every
-    # completion of every rank is a counterexample through its own record
+def test_prefix_probe_settles_blocks_without_the_witness(monkeypatch, tmp_path):
+    # a witness broken for the completions of (1, 1, 3) fails their deep
+    # path records, ranks 2-6, each through its own record; at rank 7 the
+    # probe settles the (1, 1, 3) block on the carried bitset, which does
+    # not read the witness, so no rank-7 completion becomes a record
     coords = census._witness_coords
 
     def broken(sig):
@@ -356,22 +369,18 @@ def test_prefix_check_and_records_share_one_witness(monkeypatch, tmp_path):
     target = tmp_path / "verdict.jsonl"
     assert main(["verify", "lemma4", "--max-rank", "7", "--quiet", "--out", str(target)]) == 1
     _header, verdict = target.read_text().splitlines()
-    # the verdict line holds some 200,000 records: read it by its fields,
-    # not into dicts
-    assert verdict.startswith(
-        '{"kind":"verdict","claim":"lemma4","max_rank":7,"instances":1785372,"counterexamples":['
-    )
-    assert verdict.endswith('],"holds":false}')
+    verdict = json.loads(verdict)
+    assert verdict["instances"] == 1_785_372 and verdict["holds"] is False
+    bad = verdict["counterexamples"]
     completions = [
-        ",".join(map(str, sig))
-        for rank in range(2, 8)
+        list(sig)
+        for rank in range(2, 7)
         for sig, _, _ in iter_changemakers_with_sums(rank, prefix=REJECTED_PREFIX)
     ]
-    assert re.findall(r'"sigma":\[([\d,]*)\]', verdict) == completions
-    n = len(completions)
-    assert n == 210_733
-    assert verdict.count('"level":1,') == verdict.count('"torsion_le_1":true,') == n
-    assert verdict.count('"identity_ok":false,') == verdict.count('"ok":false}') == n
+    assert [info["sigma"] for info in bad] == completions
+    assert len(bad) == 6_543
+    assert all(info["level"] == 1 and info["torsion_le_1"] for info in bad)
+    assert not any(info["identity_ok"] or info["ok"] for info in bad)
 
 
 def test_failed_witness_sub_check_is_a_counterexample_record(monkeypatch, capsys):
@@ -425,17 +434,38 @@ def test_every_small_census_staircase_inverts_and_round_trips():
 
 
 def test_lemma4_ok_holds_on_every_prefix():
-    # greedy change-making always pays on a changemaker prefix (the
-    # argument is at changemaker._greedy_change), so no block of the
-    # prefix walks can fail it
+    # every stopped prefix of ranks 3-10 passes the probe, so the prefix
+    # walks settle every block; the greedy witness of the prefix is one
+    # level-1 vector with the sum the probe looks for
     prefixes = [
-        (prefix, total, sumsq)
+        (prefix, total, level1)
         for rank in range(3, 11)
-        for prefix, total, sumsq in iter_changemakers_with_sums(rank, stop_at=3)
+        for prefix, total, _sumsq, _low, level1 in iter_changemakers_with_sums(
+            rank, stop_at=3, signed_sums=True
+        )
         if prefix[-1] >= 3
     ]
-    assert len(prefixes) == 1_482
+    assert len(prefixes) == 1_482 and len(set(prefixes)) == 495
     assert all(_lemma4_ok(*item) for item in prefixes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=7).map(
+        lambda entries: tuple(sorted(entries))
+    )
+)
+@example((1,))
+@example((2,))
+@example((1, 1))
+@example((2, 2))
+@example((3,))
+@example((1, 1, 3))
+def test_lemma4_probe_matches_brute_force(sig):
+    # any nondecreasing positive tuple, changemaker or not: the probe is
+    # true exactly when some level <= 1 vector sums to |sigma|_1 + 6
+    total, _p, _low, level1 = walk_state(sig)
+    assert _lemma4_ok(sig, total, level1) == reaches_lemma4_target(sig)
 
 
 def _carried_answers(state, i):

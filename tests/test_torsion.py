@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cmkit import (
     AlexanderExponents,
     TorsionSequence,
+    build_record,
     coefficients,
     exponents_from_torsion,
     genus_from_changemaker,
@@ -153,6 +154,21 @@ def test_genus_from_changemaker():
     assert genus_from_changemaker((1, 1, 3)) == 3
     with pytest.raises(ValueError):
         genus_from_changemaker((0, 1, 1))
+
+
+def test_sigma_0_of_zero_is_refused_on_every_route():
+    # (0, 1, 1) is a changemaker with no genus formula; each route decides
+    # sigma_0 = 1 once, by genus_from_changemaker
+    sig = (0, 1, 1)
+    routes = (
+        lambda: torsion_from_changemaker(sig, 0),
+        lambda: torsion_at_most(sig, 0, 1),
+        lambda: torsion_staircase(sig),
+        lambda: build_record(sig),
+    )
+    for route in routes:
+        with pytest.raises(ValueError, match="sigma_0 = 1"):
+            route()
 
 
 def test_torsion_from_changemaker_worked_example():

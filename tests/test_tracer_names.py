@@ -35,6 +35,9 @@ def test_sweeps_call_the_traced_names(monkeypatch):
     assert tracer.calls["census.deep"] > 0
     assert tracer.calls["census.theorem1"] > 0
     assert tracer.enumerations
+    # the drain replays the sampled _lemma4_ok arguments positionally, so
+    # a signature it cannot replay fails here
+    assert tracer.drain()["census.witness_ns_per_call"] > 0
 
 
 def test_census_calls_the_traced_names(monkeypatch):
