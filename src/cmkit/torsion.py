@@ -4,9 +4,9 @@ Knot side: a symmetric polynomial in lens-space normal form is encoded by
 its strictly decreasing positive exponent sequence n_1 > ... > n_r, with
 coefficient (-1)^(j-1) at degree n_j and (-1)^r at degree 0.  The torsion
 coefficients are the weighted tail sums t_i = sum_{j>=1} j * a_{i+j}.
-exponents_from_torsion inverts a staircase in one pass, reading the
-exponents off where its unit steps change; that the inverse rebuilds the
-staircase is a fact of algebra, pinned by the tests, not re-checked here.
+exponents_from_torsion inverts a staircase on an int64 array, reading the
+exponents off where its unit steps change; the tests play it against a
+pure-Python inversion and the rebuilt staircase.
 
 Lattice side: for a changemaker sigma with |<sigma, sigma>| = p, t_i is
 the least level k such that some all-odd vector c with sum(c_j^2) =
@@ -20,16 +20,18 @@ past its measured capacity is refused with CapacityError before any table
 is built.  The test suite plays both against two oracles built on the
 characteristic-vector definition itself: an ascending scan over
 odd-square multisets and a DP over the residues mod 2p.
+
+numpy is imported inside the functions that build arrays, not with the
+module, so of the CLI commands only torsion, census and verify theorem1
+load it: they are the ones that build a staircase.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import pairwise
-
-import numpy as np
 
 from .changemaker import (
     ChangemakerVector,
@@ -69,12 +71,12 @@ class AlexanderExponents:
     lens_space: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(x) for x in self.exponents))
+        object.__setattr__(self, "exponents", tuple(map(int, self.exponents)))
         exps = self.exponents
         # strictly decreasing down to a positive last exponent: all positive
         if exps and exps[-1] <= 0:
             raise ValueError("exponents must be positive")
-        if any(a <= b for a, b in pairwise(exps)):
+        if not all(map(operator.gt, exps, exps[1:])):
             raise ValueError("exponents must be strictly decreasing")
         if self.lens_space and len(exps) >= 2 and exps[1] != exps[0] - 1:
             raise ValueError("second exponent must be genus - 1")
@@ -129,17 +131,7 @@ class TorsionSequence:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        vals = [int(v) for v in values]
-        if not vals:
-            raise ValueError("torsion sequence must be non-empty")
-        if vals[-1] != 0:
-            raise ValueError("sequence must terminate at 0")
-        # steps of 0 or 1 up from t_g = 0 also make every entry >= 0
-        if not {a - b for a, b in pairwise(vals)} <= {0, 1}:
-            raise ValueError("consecutive differences must be 0 or 1")
-        while len(vals) >= 2 and vals[-2] == 0:
-            vals.pop()
-        self.values = tuple(vals)
+        self.values = tuple(_unit_staircase(values).tolist())
 
     @property
     def genus(self) -> int:
@@ -166,22 +158,45 @@ class TorsionSequence:
         return f"TorsionSequence({list(self.values)})"
 
 
-def exponents_from_torsion(ts) -> AlexanderExponents:
-    """Invert the staircase.
+def _unit_staircase(values) -> np.ndarray:
+    """values as an int64 staircase: non-empty, ending at 0, with steps of
+    0 or 1, and trailing zeros beyond the first trimmed."""
+    import numpy as np
 
-    Each unit step t_i - t_{i+1} = sum_{d>i} a_d is the parity of the
-    number of exponents above i.  That count moves by at most one per
-    index and is 0 at the genus, so exponent j exists exactly where the
-    step changes: the exponents are every j in g..1 with
-    steps[j - 1] != steps[j], taking steps[g] = 0, which includes g
-    itself, as steps[g - 1] = t_{g-1} = 1.  Rebuilding the staircase
-    from them gives it back by the same algebra; the tests check that
-    against torsion_from_alexander.
-    """
-    seq = ts if isinstance(ts, TorsionSequence) else TorsionSequence(ts)
-    steps = [a - b for a, b in pairwise(seq.values)] + [0]
-    g = seq.genus
-    return AlexanderExponents(tuple(j for j in range(g, 0, -1) if steps[j - 1] != steps[j]))
+    try:
+        t = np.fromiter(values, np.int64)
+    except OverflowError:
+        # steps of 0 or 1 down to t_g = 0 keep every entry in [0, g], so
+        # an entry past int64 breaks them
+        raise ValueError("consecutive differences must be 0 or 1") from None
+    if not t.size:
+        raise ValueError("torsion sequence must be non-empty")
+    if t[-1] != 0:
+        raise ValueError("sequence must terminate at 0")
+    # Steps of 0 or 1 up from t_g = 0 also make every entry >= 0; step >> 1
+    # is 0 exactly for those two steps (a negative one shifts to -1).  Only
+    # t_i = -2^63, t_{i+1} = 2^63 - 1 wraps to a step of 1, and unit steps
+    # from 2^63 - 1 down to 0 need more entries than fit in memory.
+    if np.count_nonzero((t[:-1] - t[1:]) >> 1):
+        raise ValueError("consecutive differences must be 0 or 1")
+    return t[: np.count_nonzero(t) + 1]  # the nonzero entries lead
+
+
+def exponents_from_torsion(ts) -> AlexanderExponents:
+    """Invert the staircase, checked as TorsionSequence checks it."""
+    import numpy as np
+
+    t = _unit_staircase(ts)
+    # Each unit step t_i - t_{i+1} = sum_{d>i} a_d is the parity of the
+    # number of exponents above i.  That count moves by at most one per
+    # index and is 0 at the genus, so exponent j exists exactly where the
+    # step changes: the exponents are every j in g..1 with
+    # steps[j - 1] != steps[j], taking steps[g] = 0, which includes g
+    # itself, as steps[g - 1] = t_{g-1} = 1.
+    steps = np.zeros(t.size, np.int64)
+    np.subtract(t[:-1], t[1:], out=steps[:-1])
+    exps = np.flatnonzero(steps[:-1] != steps[1:]) + 1
+    return AlexanderExponents(tuple(exps[::-1].tolist()))
 
 
 def genus_from_changemaker(sigma) -> int:
@@ -281,6 +296,8 @@ def _min_costs(sig: tuple[int, ...], g: int) -> np.ndarray:
     loop stops.  All entries stay at most T(ceil(g/w_0)), so int64 cannot
     overflow for any p that fits in memory.
     """
+    import numpy as np
+
     first, *rest = sorted(sig, reverse=True)
     copies = -(-np.arange(g + 1, dtype=np.int64) // first)
     table = copies * (copies + 1) // 2

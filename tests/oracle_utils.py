@@ -6,7 +6,8 @@ sums (and the level <= 1 sum that lemma4's prefix probe looks for), a
 naive recursive determinant and the leading principal minors built
 on it, the staircase rebuilt from an exponent ladder by a running suffix
 sum over the coefficient map (the round trip of the library's inversion;
-the map itself is checked against the polynomial arithmetic), a
+the map itself is checked against the polynomial arithmetic), the
+inversion itself as a pure-Python pass over the unit steps, a
 brute-force covering knapsack, a residue-only odd-vector cost DP, an
 ascending characteristic-level scan over odd-square multisets and a
 short-vector descent over Fractions.  The lemma4 and theorem1 sweeps'
@@ -84,6 +85,22 @@ def staircase_from_exponents(exponents):
         tail += coeff.get(i + 1, 0)
         stair[i] = stair[i + 1] + tail
     return tuple(stair)
+
+
+def exponents_by_python_steps(staircase):
+    """The exponents a staircase inverts to, on Python ints: check it is
+    non-empty, ends at 0 and has steps of 0 or 1 (ValueError otherwise),
+    trim trailing zeros, then take every j in g..1 where the step changes,
+    steps[j - 1] != steps[j] with steps[g] = 0."""
+    vals = [int(v) for v in staircase]
+    steps = [a - b for a, b in zip(vals, vals[1:])]
+    if not vals or vals[-1] != 0 or not set(steps) <= {0, 1}:
+        raise ValueError("not a unit-step staircase ending at 0")
+    while len(vals) >= 2 and vals[-2] == 0:
+        vals.pop()
+    g = len(vals) - 1
+    steps = steps[:g] + [0]
+    return tuple(j for j in range(g, 0, -1) if steps[j - 1] != steps[j])
 
 
 def signed_sums(seq):

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmkit
 import cmkit.lattice
 import cmkit.torsion
 from cmkit import build_record
@@ -405,3 +410,37 @@ def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import cmkit
+from cmkit import cli
+cli.build_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv.split()) for argv in json.loads(sys.argv[1])]
+    before = "numpy" in sys.modules
+    codes.append(cli.main(["torsion", "1", "2", "2"]))
+print(json.dumps([codes, before, "numpy" in sys.modules]))
+"""
+
+
+def test_numpy_loads_only_with_the_first_staircase():
+    """Start-up and the commands that build no staircase leave numpy
+    unimported; the first staircase imports it."""
+    argvs = [
+        "cf 9 2",
+        "gram 1 1 2",
+        "gram --linear 7 5",
+        "verify lemma4 --max-rank 7 --quiet",
+        "verify lemma5 --max-rank 8",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cmkit.__file__).resolve().parent.parent))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == [[0] * 6, False, True]

@@ -27,6 +27,7 @@ from cmkit import torsion
 
 from oracle_utils import (
     characteristic_residues,
+    exponents_by_python_steps,
     min_costs_cyclic,
     min_covering_costs,
     min_level_by_scan,
@@ -77,16 +78,52 @@ def test_lens_space_flag_gates_second_exponent():
 def test_torsion_sequence_validation():
     assert TorsionSequence((1, 1, 0, 0)).values == (1, 1, 0)
     assert TorsionSequence((0,)).genus == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="consecutive differences must be 0 or 1"):
         TorsionSequence((2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="consecutive differences must be 0 or 1"):
         TorsionSequence((1, 2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sequence must terminate at 0"):
         TorsionSequence((1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="consecutive differences must be 0 or 1"):
         TorsionSequence((-1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="torsion sequence must be non-empty"):
         TorsionSequence(())
+
+
+_INPUT_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "generator": lambda vals: (v for v in vals),
+    "TorsionSequence": TorsionSequence,
+    "int64 array": np.array,
+    "uint8 array": lambda vals: np.array(vals, dtype=np.uint8),
+    "numpy ints": lambda vals: tuple(map(np.int64, vals)),
+}
+
+
+@pytest.mark.parametrize("form", _INPUT_FORMS)
+def test_every_input_form_gives_python_ints(form):
+    stair = (3, 2, 1, 1, 0, 0, 0)
+    seq = TorsionSequence(_INPUT_FORMS[form](stair))
+    assert seq.values == (3, 2, 1, 1, 0)
+    exps = exponents_from_torsion(_INPUT_FORMS[form](stair)).exponents
+    assert exps == (4, 3, 2) == exponents_by_python_steps(stair)
+    assert staircase_from_exponents(exps) == seq.values
+    assert all(type(v) is int for v in (*seq.values, *exps))
+
+
+@pytest.mark.parametrize("values", [(2**63, 0), (2**64, 2**64 - 1, 0), (-(2**63) - 1, 0)])
+def test_values_past_int64_are_value_errors(values):
+    with pytest.raises(ValueError, match="consecutive differences must be 0 or 1"):
+        TorsionSequence(values)
+    with pytest.raises(ValueError, match="consecutive differences must be 0 or 1"):
+        exponents_from_torsion(values)
+
+
+def test_exponents_past_int64_stay_python_ints():
+    ae = AlexanderExponents((2**70, 2**70 - 1), lens_space=True)
+    assert ae.genus == 2**70 and ae.r == 2
+    assert coefficients(ae) == {0: 1, 2**70: 1, -(2**70): 1, 2**70 - 1: -1, 1 - 2**70: -1}
 
 
 def _accepts(cls, values) -> bool:
@@ -146,6 +183,31 @@ def test_exponents_from_torsion_inverts_reference_staircases(case):
     ae = AlexanderExponents((g, *(n for n in range(g - 1, 0, -1) if keep[n - 1])))
     stair = [torsion_from_alexander(ae, i) for i in range(g + 1)]
     assert exponents_from_torsion(stair).exponents == ae.exponents
+    assert exponents_by_python_steps(stair) == ae.exponents
+
+
+@st.composite
+def _changemakers_of_bounded_p(draw, min_rank, max_rank, max_p):
+    """A changemaker with sigma_0 = 1, rank in [min_rank, max_rank] and
+    p <= max_p: each entry leaves room for the rest, which are no smaller."""
+    rank = draw(st.integers(min_value=min_rank, max_value=max_rank))
+    sig, p = [1], 1
+    for k in range(rank):
+        top = min(1 + sum(sig), math.isqrt((max_p - p) // (rank - k)))
+        sig.append(draw(st.integers(min_value=sig[-1], max_value=top)))
+        p += sig[-1] ** 2
+    return tuple(sig)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_changemakers_of_bounded_p(6, 10, 20_000))
+@example((1, 1, 1, 1, 1, 1, 1))
+@example((1, 2, 4, 8, 16, 32, 64))
+def test_inversion_matches_python_steps_on_changemaker_staircases(sig):
+    stair = torsion_staircase(sig)
+    exps = exponents_from_torsion(stair).exponents
+    assert exps == exponents_by_python_steps(stair)
+    assert staircase_from_exponents(exps) == stair
 
 
 def test_genus_from_changemaker():
